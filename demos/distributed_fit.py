@@ -34,7 +34,7 @@ def main():
           f"aae = {aae(pilot, beta0):.4f}  (n_k = {n // K} points)")
 
     h_de = rule_bandwidth(data.X @ pilot, 0.15)
-    model, comm = run_distributed(data, plan, None, h_de, h1)
+    model, comm = run_distributed(data, plan, None, h_de, h1, pilot)
     print(f"after {len(comm.rounds)} Newton round(s) "
           f"beta = {np.round(model.beta, 4).tolist()}  "
           f"aae = {aae(model.beta, beta0):.4f}")

@@ -399,7 +399,8 @@ def _cmd_dist_fit(args, config):
                         exponent)
     beta0 = local_init(pdata, plan, h1)
     h = rule_bandwidth(pdata.X @ beta0, exponent)
-    model, comm = run_distributed(pdata, plan, config["rounds"], h, h1)
+    model, comm = run_distributed(pdata, plan, config["rounds"], h, h1,
+                                  beta0)
     report = dict(model.to_json())
     report.update({"h1": h1.h, "K": plan.K, "sizes": list(plan.sizes),
                    "rounds": len(comm.rounds), "comm": comm.to_json(),
@@ -486,9 +487,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-    except ParseError as exc:
-        print(f"aqr {args.command}: config error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, json.JSONDecodeError,
             jsonschema.ValidationError, AqrError) as exc:
         print(f"aqr {args.command}: config error: {exc}", file=sys.stderr)

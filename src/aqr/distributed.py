@@ -1,13 +1,14 @@
 """Simulated K-worker distributed fitting of the single-index direction.
 
-One machine (worker 0) is central: it owns shard M1, runs the local pilot
-fit, and is the only writer of the iteration state. Each round the central
-machine broadcasts the current direction, every worker computes its shard's
-partial gradient of the pooled criterion, and the central machine reduces
-the parts in ascending worker order with compensated summation, exactly the
-reduction psis_gradient itself uses, so the distributed gradient matches the
-pooled one bit for bit. The Newton step is undamped: the Hessian comes from
-shard M1 alone, with the central bandwidth, and the iterate is renormalized.
+One machine (worker 0) is central: it owns shard M1, fits the pilot that
+callers pass to run_distributed, and is the only writer of the iteration
+state. Each round it broadcasts the current direction, every worker computes
+its shard's partial gradient of the pooled criterion, and the central
+machine reduces the parts in ascending worker order with compensated
+summation, as psis_gradient does, so the distributed gradient matches the
+pooled one bit for bit. The round's Newton step is undamped and Euclidean,
+unlike fit_full's: the Hessian comes from shard M1 alone, with the central
+bandwidth, and the iterate is renormalized.
 
 Communication accounting
 ------------------------
@@ -169,8 +170,8 @@ def default_rounds(n, n1, h1):
     return max(1, math.ceil(math.log(n / n1) / denom))
 
 
-def run_distributed(data, plan, rounds, h, h1):
-    """Pilot fit on the central shard, then `rounds` Newton rounds.
+def run_distributed(data, plan, rounds, h, h1, beta0):
+    """`rounds` Newton rounds from the caller's pilot direction `beta0`.
 
     Pass rounds=None to use default_rounds on (n, n1, h1). Returns the fitted
     IndexModel under the global bandwidth and the communication report.
@@ -178,7 +179,6 @@ def run_distributed(data, plan, rounds, h, h1):
     _check_partition(data, plan)
     h = _as_bandwidth(h)
     h1 = _as_bandwidth(h1)
-    beta0 = local_init(data, plan, h1)
     if rounds is None:
         rounds = default_rounds(data.n, plan.sizes[plan.central], h1.h)
     rounds = int(rounds)

@@ -338,7 +338,7 @@ def _sim2_rep(args):
     h1 = rule_bandwidth(central @ init, 0.15)
     beta0 = local_init(pdata, plan, h1)
     h_de = rule_bandwidth(pdata.X @ beta0, 0.15)
-    model_de, comm = run_distributed(pdata, plan, None, h_de, h1)
+    model_de, comm = run_distributed(pdata, plan, None, h_de, h1, beta0)
 
     beta_de = np.asarray(model_de.beta, dtype=float)
     return {
@@ -411,7 +411,7 @@ def k1_newton_gap(master_seed=1, n=200, rounds=None):
     h = rule_bandwidth(X @ beta, 0.15)
     if rounds is None:
         rounds = default_rounds(n, n, h1.h)
-    model, _ = run_distributed(data, ShardPlan(1, (n,)), rounds, h, h1)
+    model, _ = run_distributed(data, ShardPlan(1, (n,)), rounds, h, h1, beta)
     manual = beta
     for _ in range(int(rounds)):
         grad = psis_gradient(data, manual, h)
@@ -564,7 +564,7 @@ def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS, seed=0):
     h1 = rule_bandwidth(X[shard_of == plan.central] @ init, 0.15)
     beta0 = local_init(data, plan, h1)
     h_de = rule_bandwidth(X @ beta0, 0.15)
-    model_de, comm = run_distributed(data, plan, None, h_de, h1)
+    model_de, comm = run_distributed(data, plan, None, h_de, h1, beta0)
 
     fams = [("qr", qr_dirac())] + study_families()
     tables = {}

@@ -167,7 +167,8 @@ def test_newton_round_usually_improves_pilot():
 
 def test_run_distributed_tracks_full_fit():
     data, beta0_hat, h, h1 = pilot_setup(2)
-    model, comm = run_distributed(data, even_plan(500, 10), None, h, h1)
+    model, comm = run_distributed(data, even_plan(500, 10), None, h, h1,
+                                  beta0_hat)
     full = fit_full(Dataset(data.y, data.X), h, normalize_beta(np.ones(2)))
     assert np.linalg.norm(model.beta - full.beta) < 0.05
     assert len(comm.rounds) == default_rounds(500, 50, h1.h)
@@ -178,7 +179,8 @@ def test_run_distributed_k1_reproduces_manual_rounds():
     plan = ShardPlan(1, (n,))
     data = partition(quadratic_data(9, n=n), plan, seed=0)
     h1 = rule_bandwidth(data.X @ normalize_beta(np.ones(2)), 0.15)
-    model, comm = run_distributed(data, plan, rounds, h1, h1)
+    model, comm = run_distributed(data, plan, rounds, h1, h1,
+                                  local_init(data, plan, h1))
     beta = local_init(data, plan, h1)
     sub = Dataset(data.y, data.X)
     for _ in range(rounds):
@@ -193,7 +195,8 @@ def test_comm_accounting_is_gradient_sized():
     n, k, p = 200, 4, 2
     data = partition(quadratic_data(11, n=n), even_plan(n, k), seed=3)
     h = rule_bandwidth(data.X @ normalize_beta(np.ones(2)), 0.15)
-    model, comm = run_distributed(data, even_plan(n, k), 2, h, h)
+    model, comm = run_distributed(data, even_plan(n, k), 2, h, h,
+                                  local_init(data, even_plan(n, k), h))
     per_round = k * p + p + 2 * k
     for entry in comm.rounds:
         assert entry.scalars_sent == per_round
@@ -211,7 +214,7 @@ def test_comm_accounting_is_gradient_sized():
 def test_run_distributed_rejects_unpartitioned_data():
     data = quadratic_data(1, n=100)
     with pytest.raises(PlanMismatch):
-        run_distributed(data, even_plan(100, 4), 1, 0.5, 0.5)
+        run_distributed(data, even_plan(100, 4), 1, 0.5, 0.5, BETA0)
 
 
 def test_state_validates_direction():

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aqr.errors import (DomainError, IdentificationFail, IllConditioned,
                         ZeroVector)
+from aqr.experiments import _rep_seed, _sim2_draw
 from aqr.kernel_cde import SQRT_2PI, Dataset, rule_bandwidth
-from aqr.single_index import (IndexModel, fit_full, normalize_beta,
-                              psis_gradient, psis_hessian, psis_objective)
+from aqr.single_index import (IndexModel, _tangent_step, fit_full,
+                              normalize_beta, psis_gradient, psis_hessian,
+                              psis_objective)
 
 
 def quadratic_model(rng, n, p=2):
@@ -217,3 +221,42 @@ def test_fit_recovers_direction_over_replications():
         model = fit_full(data, h, init)
         errs.append(np.mean(np.abs(model.beta - beta0)))
     assert float(np.mean(errs)) <= 0.05
+
+
+@pytest.mark.parametrize("master", [3, 5, 6])
+def test_fit_is_stationary_on_sim2_design(master):
+    y, X = _sim2_draw(np.random.default_rng(_rep_seed(master, 0, 0)), 500)
+    data = Dataset(y, X)
+    init = normalize_beta(np.ones(2))
+    h = rule_bandwidth(X @ init, 0.15)
+    beta = fit_full(data, h, init).beta
+    grad = psis_gradient(data, beta, h)
+    assert np.max(np.abs(grad - (grad @ beta) * beta)) < 1e-7
+
+
+# a grid on [-10, 10]: exact zeros occur, and no entry is so small that a
+# norm or product underflows
+entries = st.integers(-1000, 1000).map(lambda k: k / 100.0)
+
+
+@st.composite
+def tangent_problems(draw):
+    p = draw(st.integers(2, 5))
+    raw = draw(arrays(float, p, elements=entries))
+    assume(raw[0] > 0.0)
+    a = draw(arrays(float, (p, p), elements=entries))
+    grad = draw(arrays(float, p, elements=entries))
+    return normalize_beta(raw), (a + a.T) / 2.0, grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(tangent_problems())
+def test_tangent_step_is_orthogonal_descent_direction(problem):
+    beta, hess, grad = problem
+    step = _tangent_step(hess, grad, beta)
+    assert abs(step @ beta) <= 1e-12 * np.linalg.norm(step)
+    # below this size the rounding of grad's radial part (|beta'g| <= 23
+    # times ulps of |step| <= |g| / RIDGE_FLOOR) can outweigh the true g'Qs
+    tangential = grad - (grad @ beta) * beta
+    if np.linalg.norm(tangential) > 1e-3:
+        assert grad @ step > 0.0
