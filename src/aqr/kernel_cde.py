@@ -6,6 +6,13 @@ never vanish. Every canonical kernel sum is accumulated with compensated
 summation, shard by shard in ascending worker-label order: a multi-shard
 computation that exchanges per-shard partial sums reproduces the
 single-machine numbers bit for bit because both run the identical reduction.
+
+A whole curve walks the rows once in y order and keeps each shard's running
+sum exactly, as the non-overlapping partials that math.fsum itself builds
+(Shewchuk 1997), so every level is the real number the masked compensated sum
+rounds. Bandwidth cross-validation sorts the rows by y, which turns the
+indicator matrix into a staircase: the kernel-weighted CDF of a block of rows
+is a cumulative sum along each row, and memory stays O(block * n).
 """
 
 import math
@@ -16,6 +23,8 @@ import numpy as np
 from .errors import (DomainError, EmptyGrid, KernelUnderflow, ShapeMismatch)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# rows per kernel block in cv_bandwidth; a block holds a few block x n arrays
+_CV_BLOCK_ROWS = 128
 
 
 def _phi(t):
@@ -156,11 +165,30 @@ def cde_eval(data, h, x0, y0):
     return num / den
 
 
+def _grow(partials, x):
+    """Add x to the exact sum held as non-overlapping partials (math.fsum's
+    algorithm): afterwards the partials still sum exactly to the total."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def cde_curve(data, h, x0):
     """F-hat(. | x0) evaluated at every distinct y, as a StepCDF.
 
-    Each level runs the same masked compensated sum as cde_eval, so the two
-    agree exactly at the knots, and the top level is exactly 1.
+    One pass over the rows in y order grows each shard's exact running sum;
+    at a knot, a level is the compensated sum of the rounded shard sums in
+    ascending label order over the same denominator. Those are the numbers
+    cde_eval's masked sums produce, so the two agree exactly at the knots,
+    and the top level is exactly 1.
     """
     h = _as_bandwidth(h)
     z, _ = _conditioner(data)
@@ -168,13 +196,24 @@ def cde_curve(data, h, x0):
     if not np.any(w >= 1e-300):
         raise KernelUnderflow(
             f"all kernel weights vanished at x0={x0!r} with h={h.h}")
-    slices = data.shard_slices()
-    den = reduce_fsum(w, slices)
-    knots = np.unique(data.y)
+    den = reduce_fsum(w, data.shard_slices())
+    labels, shard = np.unique(data.shard_of, return_inverse=True)
+    order = np.argsort(data.y, kind="stable")
+    y = data.y[order]
+    knots = np.unique(y)
+    ends = np.searchsorted(y, knots, side="right").tolist()
+    w, shard = w[order].tolist(), shard[order].tolist()
+    partials = [[] for _ in labels]
+    sums = [0.0] * len(labels)
     levels = np.empty(knots.size)
-    for j, knot in enumerate(knots):
-        num = math.fsum(math.fsum(w[idx][data.y[idx] <= knot]) for idx in slices)
-        levels[j] = num / den
+    start = 0
+    for j, end in enumerate(ends):
+        for i in range(start, end):
+            k = shard[i]
+            _grow(partials[k], w[i])
+            sums[k] = math.fsum(partials[k])
+        levels[j] = math.fsum(sums) / den
+        start = end
     return StepCDF(knots=knots, levels=levels)
 
 
@@ -236,7 +275,14 @@ def cv_bandwidth(data, beta=None, grid=None):
 
     CV(h) = n^-2 sum_i sum_l {I(Y_i <= Y_l) - F-hat_{-i}(Y_l | x_i)}^2,
     the leave-one-out form of the squared-distribution loss the index
-    estimator minimizes. Ties resolve to the smallest h.
+    estimator minimizes. Ties resolve to the smallest h, and a bandwidth
+    whose leave-one-out weights vanish for some row is skipped.
+
+    The rows are sorted by y once, so I(Y_j <= Y_l) holds exactly for the
+    sorted positions j up to the last one tied with Y_l. Blocks of rows then
+    take the numerator of every F-hat_{-i}(Y_l) from a cumulative sum of
+    their kernel weights, and a run of tied Y_l is scored once, weighted by
+    its length: O(n^2) work per bandwidth and O(block * n) memory.
     """
     z, _ = _conditioner(data, beta)
     if grid is None:
@@ -245,18 +291,44 @@ def cv_bandwidth(data, beta=None, grid=None):
     if len(grid) == 0:
         raise EmptyGrid("bandwidth grid is empty")
     grid = sorted(grid, key=lambda b: b.h)
-    y = data.y
-    ind = y[:, None] <= y[None, :]
+    order = np.argsort(data.y, kind="stable")
+    y, z = data.y[order], z[order]
+    n = y.size
+    # sorted position of the last row in each run of tied y, and run lengths
+    ends = np.flatnonzero(np.diff(y, append=math.inf))
+    count = np.diff(ends, prepend=-1).astype(float)
+    ties = ends.size < n
+    totals = np.zeros(len(grid))
+    for start in range(0, n, _CV_BLOCK_ROWS):
+        rows = np.arange(start, min(start + _CV_BLOCK_ROWS, n))
+        diff = z[None, :] - z[rows, None]
+        ind = rows[:, None] <= ends[None, :]
+        w = np.empty_like(diff)
+        for g, bw in enumerate(grid):
+            if math.isnan(totals[g]):
+                continue
+            # _phi(diff / h) / h, computed in place: the same weights
+            np.divide(diff, bw.h, out=w)
+            np.multiply(w, w, out=w)
+            w *= -0.5
+            np.exp(w, out=w)
+            w /= SQRT_2PI
+            w /= bw.h
+            w[rows - start, rows] = 0.0
+            np.cumsum(w, axis=1, out=w)
+            s2 = w[:, -1:].copy()
+            if not np.all(s2 > 0.0):
+                totals[g] = math.nan
+                continue
+            # rows tied in y share one column value: read each run once
+            err = w[:, ends] if ties else w
+            err /= s2
+            err -= ind
+            np.square(err, out=err)
+            totals[g] += float(np.sum(err @ count))
     best = None
     best_score = math.inf
-    for bw in grid:
-        w = _phi((z[None, :] - z[:, None]) / bw.h) / bw.h
-        np.fill_diagonal(w, 0.0)
-        s2 = w.sum(axis=1)
-        if not np.all(s2 > 0.0):
-            continue
-        fhat = (w @ ind) / s2[:, None]
-        score = float(np.mean(np.square(ind - fhat)))
+    for bw, score in zip(grid, totals.tolist()):
         if math.isfinite(score) and score < best_score:
             best = bw
             best_score = score

@@ -10,13 +10,18 @@ The unit integral is split at 1/2 and each half is integrated from its own
 endpoint inward, which keeps the small coordinate exact and lets the
 extrapolating quadrature absorb the integrable endpoint singularities that
 heavy-tailed quantile functions produce.
+
+The normal, Student t and beta quantiles call the scipy.special ufuncs
+(ndtri, stdtrit, betaincinv and betainccinv) directly on the scalar levels
+the quadrature asks for. They return what scipy.stats' ppf and isf return at
+levels down to 1e-300, without its per-call argument handling.
 """
 
 import math
 import warnings
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .errors import DomainError, QuadratureFail
 from .families import ALPHA_LIMIT, _tau, resolve_alpha
@@ -110,11 +115,12 @@ def _ppf_isf(dist):
     k, p = dist.kind, dist.params
     if k == "normal":
         mu, sg = p["mu"], p["sigma"]
-        return (lambda s: mu + sg * stats.norm.ppf(s),
-                lambda c: mu + sg * stats.norm.isf(c))
+        return (lambda s: mu + sg * special.ndtri(s),
+                lambda c: mu + sg * -special.ndtri(c))
     if k == "studentT":
         df = p["df"]
-        return (lambda s: stats.t.ppf(s, df), lambda c: stats.t.isf(c, df))
+        return (lambda s: special.stdtrit(df, s),
+                lambda c: -special.stdtrit(df, c))
     if k == "exponential":
         r = p["rate"]
         return (lambda s: -np.log1p(-s) / r, lambda c: -np.log(c) / r)
@@ -123,8 +129,8 @@ def _ppf_isf(dist):
         return (lambda s: a + (b - a) * s, lambda c: b - (b - a) * c)
     if k == "beta":
         pp, qq = p["p"], p["q"]
-        return (lambda s: stats.beta.ppf(s, pp, qq),
-                lambda c: stats.beta.isf(c, pp, qq))
+        return (lambda s: special.betaincinv(pp, qq, s),
+                lambda c: special.betainccinv(pp, qq, c))
     if k == "frechet":
         g = p["gamma"]
         return (lambda s: (-np.log(s)) ** -g,
@@ -276,29 +282,3 @@ def frechet_limit_ratio(kind, gamma, a=None, A=None):
             raise DomainError("TCRM limit needs A > 0")
         return A ** gamma / math.cos(gamma * math.pi / 2.0)
     raise DomainError(f"no tail limit for kind {kind!r}")
-
-
-def sample_transformed(dist, family, tau, size, rng):
-    """Monte Carlo draws of the transformed variable whose mean is xi_tau.
-
-    Inverse-transform sampling through the weight cumulative: a uniform v is
-    mapped to the quantile level G_tau^{-1}(v). Used as a cross-check in
-    tests only; the quadrature path is the accurate one.
-    """
-    t = _tau(tau)
-    if dist.kind == "pointMass":
-        return np.full(size, dist.params["c"])
-    if family.kind == "qr-dirac":
-        return np.full(size, quantile(dist, t))
-    s_from_v, c_from_u, s_comp = _level_maps(family, t)
-    lower = t <= 0.5
-    ppf, isf = _ppf_isf(dist)
-    v = rng.uniform(0.0, 1.0, size)
-    tiny = np.nextafter(0.0, 1.0)
-    S = np.array([s_from_v(vi) if lower else c_from_u(vi) for vi in v])
-    C = np.array([c_from_u(1.0 - vi) if lower else s_comp(vi) for vi in v])
-    use_low = S <= 0.5
-    out = np.empty(size)
-    out[use_low] = ppf(np.maximum(S[use_low], tiny))
-    out[~use_low] = isf(np.maximum(C[~use_low], tiny))
-    return out

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aqr.errors import (DomainError, EmptyGrid, KernelUnderflow,
                         ShapeMismatch)
@@ -259,6 +261,83 @@ def test_cv_bandwidth_sine_model_snapshot():
     pick = cv_bandwidth(data)
     sx = float(np.std(x))
     assert 0.05 * sx <= pick.h <= 1.0 * sx
+
+
+def test_cv_bandwidth_memory_is_bounded_by_row_blocks():
+    # a dense n x n pass would hold several 128 MB arrays at this size
+    rng = np.random.default_rng(19)
+    n = 4000
+    x = rng.normal(size=n)
+    data = Dataset(x + rng.normal(size=n), x)
+    tracemalloc.start()
+    try:
+        cv_bandwidth(data, grid=[Bandwidth(0.2), Bandwidth(0.4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@st.composite
+def tied_sharded_data(draw):
+    """Up to 300 rows, y rounded to force ties, 1-5 shard labels."""
+    n = draw(st.integers(2, 300))
+    decimals = draw(st.integers(0, 2))
+    n_labels = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n)
+    y = np.round(x + rng.normal(size=n), decimals)
+    labels = rng.choice(rng.permutation(10)[:n_labels], size=n)
+    return Dataset(y, x, shard_of=labels), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_sharded_data())
+def test_cde_curve_equals_cde_eval_at_every_knot(case):
+    data, rng = case
+    h = rule_bandwidth(data.X[:, 0])
+    x0 = float(rng.choice(data.X[:, 0]) + 0.5 * h.h * rng.normal())
+    curve = cde_curve(data, h, x0)
+    assert list(curve.knots) == list(np.unique(data.y))
+    for knot, level in zip(curve.knots, curve.levels):
+        assert cde_eval(data, h, x0, knot) == level
+    assert np.all(np.diff(curve.levels) >= 0.0)
+    assert curve.levels[-1] == 1.0
+
+
+def dense_cv_scores(data, grid):
+    """CV(h) per grid bandwidth from the dense n x n formula fhat = w @ ind;
+    inf where some leave-one-out weight sum vanishes."""
+    z, y = data.X[:, 0], data.y
+    ind = y[:, None] <= y[None, :]
+    scores = []
+    for bw in grid:
+        w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / bw.h) ** 2)
+        w /= SQRT_2PI * bw.h
+        np.fill_diagonal(w, 0.0)
+        s2 = w.sum(axis=1)
+        if not np.all(s2 > 0.0):
+            scores.append(math.inf)
+            continue
+        fhat = (w @ ind) / s2[:, None]
+        scores.append(float(np.mean(np.square(ind - fhat))))
+    return scores
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_sharded_data())
+def test_cv_bandwidth_matches_dense_reference(case):
+    data, rng = case
+    grid = default_bandwidth_grid(data.X[:, 0])
+    scores = dense_cv_scores(data, grid)
+    best, second = sorted(scores)[:2]
+    # two scores equal to rounding may be ordered either way by either sum
+    assume(math.isfinite(best) and second - best > 1e-9 * best)
+    want = grid[scores.index(best)]
+    assert cv_bandwidth(data, grid=grid) is want
+    perm = rng.permutation(data.n)
+    shuffled = Dataset(data.y[perm], data.X[perm], shard_of=data.shard_of[perm])
+    assert cv_bandwidth(shuffled, grid=grid) is want
 
 
 def test_rule_bandwidth_guard():

@@ -1,15 +1,20 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from aqr.errors import DomainError, QuadratureFail
-from aqr.families import (WeightFamily, es, exp_spectral, extremile, ge, ges,
-                          qr_dirac, tabulated)
-from aqr.oracle import (AnalyticDistribution, beta_dist, exponential, frechet,
-                        frechet_limit_ratio, normal, point_mass,
-                        population_aqr, quantile, sample_transformed,
+from aqr.families import (WeightFamily, _tau, es, exp_spectral, extremile, ge,
+                          ges, qr_dirac, tabulated)
+from aqr.oracle import (AnalyticDistribution, _level_maps, _ppf_isf,
+                        beta_dist, exponential, frechet, frechet_limit_ratio,
+                        normal, point_mass, population_aqr, quantile,
                         student_t, uniform)
 
 tcrm_hi = WeightFamily("tcrm", schedule="half-inverse")
@@ -202,7 +207,59 @@ def test_population_ratio_approaches_limit():
 
 
 # ---------------------------------------------------------------------------
+# the quantile ufuncs are the ones scipy.stats evaluates underneath
+
+STATS_TWINS = [(normal(), stats.norm()), (student_t(1.2), stats.t(1.2)),
+               (student_t(3.0), stats.t(3.0)),
+               (beta_dist(2.0, 3.0), stats.beta(2.0, 3.0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(1e-300, 0.5), st.floats(-300.0, 0.0).map(
+    lambda e: 0.5 * 10.0 ** e)))
+def test_ppf_isf_equal_scipy_stats(level):
+    for dist, twin in STATS_TWINS:
+        ppf, isf = _ppf_isf(dist)
+        assert ppf(level) == twin.ppf(level)
+        assert isf(level) == twin.isf(level)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import aqr, sys; assert 'scipy.stats' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo cross-check of the quadrature path
+
+def sample_transformed(dist, family, tau, size, rng):
+    """Monte Carlo draws of the transformed variable whose mean is xi_tau.
+
+    Inverse-transform sampling through the weight cumulative: a uniform v is
+    mapped to the quantile level G_tau^{-1}(v).
+    """
+    t = _tau(tau)
+    if dist.kind == "pointMass":
+        return np.full(size, dist.params["c"])
+    if family.kind == "qr-dirac":
+        return np.full(size, quantile(dist, t))
+    s_from_v, c_from_u, s_comp = _level_maps(family, t)
+    lower = t <= 0.5
+    ppf, isf = _ppf_isf(dist)
+    v = rng.uniform(0.0, 1.0, size)
+    tiny = np.nextafter(0.0, 1.0)
+    S = np.array([s_from_v(vi) if lower else c_from_u(vi) for vi in v])
+    C = np.array([c_from_u(1.0 - vi) if lower else s_comp(vi) for vi in v])
+    use_low = S <= 0.5
+    out = np.empty(size)
+    out[use_low] = ppf(np.maximum(S[use_low], tiny))
+    out[~use_low] = isf(np.maximum(C[~use_low], tiny))
+    return out
+
 
 def test_monte_carlo_agrees_with_quadrature():
     rng = np.random.default_rng(7)
