@@ -146,7 +146,10 @@ def quantile(dist, s):
     if not (0.0 < s < 1.0):
         raise DomainError(f"quantile level must lie in (0,1), got {s!r}")
     ppf, isf = _ppf_isf(dist)
-    return float(ppf(s) if s <= 0.5 else isf(1.0 - s))
+    value = float(ppf(s) if s <= 0.5 else isf(1.0 - s))
+    if math.isnan(value):
+        raise DomainError(f"{dist!r} has no computable quantile at {s!r}")
+    return value
 
 
 def _base_level_maps(kind, tau_b, a=None, alpha=None):
@@ -259,6 +262,11 @@ def population_aqr(dist, family, tau):
                                 limit=300, epsabs=1e-10, epsrel=1e-10)
     value = i1 + i2
     err = e1 + e2
+    # a nan from the quantile ufuncs would slip past the error gate below
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureFail(
+            f"population integral is not finite (value={value:g}, "
+            f"err={err:g})", estimate=err)
     if err > max(1e-8, 1e-8 * abs(value)):
         raise QuadratureFail(
             f"population integral did not converge (err={err:g})", estimate=err)

@@ -25,6 +25,9 @@ MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
 STATIONARY_TOL = 1e-10
 RIDGE_FLOOR = 1e-8
+# longest first line-search trial; a tangent step of length 1 turns beta
+# by 45 degrees
+MAX_STEP = 1.0
 
 
 def _ddphi(t):
@@ -204,8 +207,19 @@ def _tangent_step(hessian, gradient, beta):
 
 
 def _backtrack(data, h, beta, value, direction):
-    """Halve the step along `direction` until the objective strictly drops."""
+    """Halve the step along `direction` until the objective strictly drops.
+
+    The first trial is the largest 2^-k step (k >= 0) no longer than
+    MAX_STEP. The retraction turns beta by atan(|step|), so all steps much
+    longer than that land within about 1/|step| rad of the same quarter
+    turn, and halving through them only spends objective evaluations. A
+    direction no longer than MAX_STEP is tried in full. MAX_HALVINGS counts
+    from the first trial.
+    """
     scale = 1.0
+    length = float(np.linalg.norm(direction))
+    while scale * length > MAX_STEP:
+        scale *= 0.5
     for _ in range(MAX_HALVINGS + 1):
         try:
             candidate = normalize_beta(beta - scale * direction)
@@ -225,8 +239,9 @@ def fit_full(data, h, init):
     """Riemannian Newton minimization of psis_objective over unit directions.
 
     Each iterate takes the ridge-repaired Newton step in the tangent space,
-    halves it until the objective strictly drops (at most MAX_HALVINGS times,
-    else LineSearchFail) and retracts with normalize_beta. Stops when the
+    first cut by halvings to a tangent length of at most MAX_STEP, halves it
+    until the objective strictly drops (at most MAX_HALVINGS times, else
+    LineSearchFail) and retracts with normalize_beta. Stops when the
     largest tangential-gradient entry is below STATIONARY_TOL, when the
     Newton decrement is within a few ulps of the objective, or after
     MAX_NEWTON_ITER iterations.

@@ -9,7 +9,7 @@ from aqr.experiments import (SIX_DISTRIBUTIONS, average_aqr_values,
                              run_airquality, run_compare, run_portfolio,
                              run_sim1, run_sim2, run_validate, study_families,
                              violator_families, _rep_seed)
-from aqr.families import es, qr_dirac, tcrm
+from aqr.families import es, g_value, qr_dirac, tcrm
 from aqr.kernel_cde import Dataset, cde_curve
 from aqr.oracle import normal, population_aqr, quantile
 from aqr.portfolio import ReturnsMatrix
@@ -143,10 +143,41 @@ def test_average_aqr_values_matches_per_row_estimates():
     data = Dataset(y, z[:, None])
     for fam in (es(), tcrm("half-inverse"), qr_dirac()):
         for tau in (0.1, 0.5, 0.9):
-            got = average_aqr_values(y, z, h, fam, tau)
+            got = average_aqr_values(y, z, h, fam, [tau])[0]
             want = np.mean([aqr_conditional(cde_curve(data, h, zi), fam,
                                             tau).value for zi in z])
             assert got == pytest.approx(want, rel=1e-10)
+
+
+def _one_level_average(y, z, h, family, tau):
+    # the single-level formula: one level matrix per (family, tau) cell
+    order = np.argsort(y, kind="stable")
+    y_sorted = y[order]
+    knots = np.unique(y_sorted)
+    last = np.searchsorted(y_sorted, knots, side="right") - 1
+    w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / h) ** 2)
+    levels = np.cumsum(w[:, order], axis=1)[:, last]
+    levels /= levels[:, -1:]
+    if family.kind == "qr-dirac":
+        return float(np.mean(knots[np.argmax(levels >= tau, axis=1)]))
+    g = g_value(family, tau, levels)
+    return float(np.mean(np.diff(g, axis=1, prepend=0.0) @ knots))
+
+
+def test_average_aqr_values_over_levels_equals_one_level_calls():
+    rng = np.random.default_rng(29)
+    n = 60
+    y = np.round(rng.normal(size=n), 1)  # tied y
+    z = rng.normal(size=n)
+    h = 0.3
+    taus = [0.9, 0.05, 0.5, 0.3, 0.5, 0.99]
+    for fam in (es(), tcrm("half-inverse"), qr_dirac()):
+        got = average_aqr_values(y, z, h, fam, taus)
+        assert len(got) == len(taus)
+        for value, tau in zip(got, taus):
+            assert type(value) is float
+            assert value == average_aqr_values(y, z, h, fam, [tau])[0]
+            assert value == _one_level_average(y, z, h, fam, tau)
 
 
 AIRQ_HEADER = ("station,year,month,day,hour,PM2.5,TEMP,PRES,DEWP,WSPM\n")

@@ -173,6 +173,18 @@ def test_heavy_tail_extreme_levels_converge():
     assert v > quantile(student_t(1.2), 0.98) > 0
 
 
+def test_nan_quantile_raises_instead_of_returning_nan():
+    # betaincinv(5, 1.5, s) is nan for s below ~2e-144
+    dist = beta_dist(5.0, 1.5)
+    with pytest.raises(DomainError):
+        quantile(dist, 1e-150)
+    with pytest.raises(QuadratureFail):
+        population_aqr(dist, es(), 1e-150)
+    with pytest.raises(DomainError):
+        population_aqr(dist, qr_dirac(), 1e-150)
+    assert math.isfinite(population_aqr(dist, es(), 1e-100))
+
+
 def test_tabulated_family_has_no_population_rule():
     fam = tabulated(np.linspace(0.0, 1.0, 11), np.ones(11))
     with pytest.raises(DomainError):

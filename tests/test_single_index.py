@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from aqr.errors import (DomainError, IdentificationFail, IllConditioned,
                         ZeroVector)
 from aqr.experiments import _rep_seed, _sim2_draw
 from aqr.kernel_cde import SQRT_2PI, Dataset, rule_bandwidth
-from aqr.single_index import (IndexModel, _tangent_step, fit_full,
+from aqr.single_index import (MAX_HALVINGS, MAX_STEP, IndexModel,
+                              _backtrack, _tangent_step, fit_full,
                               normalize_beta, psis_gradient, psis_hessian,
                               psis_objective)
 
@@ -260,3 +262,76 @@ def test_tangent_step_is_orthogonal_descent_direction(problem):
     tangential = grad - (grad @ beta) * beta
     if np.linalg.norm(tangential) > 1e-3:
         assert grad @ step > 0.0
+
+
+@st.composite
+def line_searches(draw):
+    p = draw(st.integers(2, 5))
+    raw = draw(arrays(float, p, elements=entries))
+    assume(raw[0] > 0.0)
+    beta = normalize_beta(raw)
+    tangent = draw(arrays(float, p, elements=entries))
+    tangent = tangent - (tangent @ beta) * beta
+    assume(np.linalg.norm(tangent) > 1e-3)
+    length = 10.0 ** draw(st.floats(-3.0, 9.0))
+    accept_at = draw(st.one_of(st.none(), st.integers(0, MAX_HALVINGS)))
+    return beta, length * tangent / np.linalg.norm(tangent), accept_at
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_searches())
+def test_backtrack_starts_at_a_resolvable_step(problem):
+    beta, direction, accept_at = problem
+    value = 0.5
+    steps, trials = [], []
+
+    def retract(point):
+        # every trial step, also one rejected on the identification boundary
+        steps.append(float(np.linalg.norm(beta - point)))
+        return normalize_beta(point)
+
+    def objective(data, candidate, h):
+        trials.append(candidate)
+        return value - 1.0 if len(trials) - 1 == accept_at else value
+
+    with mock.patch("aqr.single_index.normalize_beta", retract), \
+            mock.patch("aqr.single_index.psis_objective", objective):
+        accepted = _backtrack(None, 1.0, beta, value, direction)
+    length = float(np.linalg.norm(direction))
+    assert steps[0] <= MAX_STEP * (1.0 + 1e-12)
+    if length <= MAX_STEP:
+        assert steps[0] == pytest.approx(length, rel=1e-12)
+    else:
+        # the largest halving within the cap: the next larger one exceeds it
+        assert 2.0 * steps[0] > MAX_STEP * (1.0 - 1e-12)
+    assert len(trials) <= len(steps) <= MAX_HALVINGS + 1
+    if accept_at is None or accept_at >= len(trials):
+        assert accepted is None
+    else:
+        assert len(trials) == accept_at + 1
+        assert accepted[0] is trials[-1] and accepted[1] == value - 1.0
+
+
+def test_fit_skips_unresolvable_halvings_on_quadratic_index():
+    # an even link in four centred covariates: the Hessian at the start is
+    # indefinite and the ridge-repaired step is 1e6-1e7 long; starting every
+    # search at the full step took 55 objective evaluations on this design
+    rng = np.random.default_rng(0)
+    direction = rng.normal(size=4)
+    direction /= np.linalg.norm(direction)
+    X = rng.normal(size=(150, 4))
+    y = (X @ direction) ** 2 + 0.2 * rng.standard_normal(150)
+    data = Dataset(y, X)
+    init = normalize_beta(np.ones(4))
+    h = rule_bandwidth(X @ init, 0.15)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return psis_objective(*args)
+
+    with mock.patch("aqr.single_index.psis_objective", counted):
+        beta = fit_full(data, h, init).beta
+    assert len(calls) <= 12
+    grad = psis_gradient(data, beta, h)
+    assert np.max(np.abs(grad - (grad @ beta) * beta)) < 1e-7
