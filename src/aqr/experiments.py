@@ -512,14 +512,15 @@ def load_airquality(path, winter=True):
     return table[:, 0], table[:, 1:], shard_of, sites
 
 
-def average_aqr_values(y, z, h, family, taus):
-    """Mean over rows of the exact telescoped estimate, one mean per level.
+def average_aqr_values(y, z, h, families, taus):
+    """Mean over rows of the exact telescoped estimate, per family and level.
 
     Builds the kernel CDF levels for all evaluation points once, in one
-    matrix, and reuses them for every level in `taus`; only the weight
-    transform depends on the family and the level, so each mean is the one
-    a single-level call gives, bit for bit. Matches aqr_conditional row by
-    row up to summation order.
+    matrix, and reuses them for every family in `families` and every level
+    in `taus`; only the weight transform depends on the family and the level,
+    so each mean is the one a single-family, single-level call gives, bit for
+    bit. Returns one list of means (one per level) per family. Matches
+    aqr_conditional row by row up to summation order.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -532,15 +533,18 @@ def average_aqr_values(y, z, h, family, taus):
     w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / h) ** 2)
     levels = np.cumsum(w[:, order], axis=1)[:, last]
     levels /= levels[:, -1:]
-    means = []
-    for t in ts:
-        if family.kind == "qr-dirac":
-            values = knots[np.argmax(levels >= t, axis=1)]
-        else:
-            g = g_value(family, t, levels)
-            values = np.diff(g, axis=1, prepend=0.0) @ knots
-        means.append(float(np.mean(values)))
-    return means
+    table = []
+    for family in families:
+        means = []
+        for t in ts:
+            if family.kind == "qr-dirac":
+                values = knots[np.argmax(levels >= t, axis=1)]
+            else:
+                g = g_value(family, t, levels)
+                values = np.diff(g, axis=1, prepend=0.0) @ knots
+            means.append(float(np.mean(values)))
+        table.append(means)
+    return table
 
 
 def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS, seed=0):
@@ -577,10 +581,10 @@ def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS, seed=0):
         beta = np.asarray(model.beta, dtype=float)
         z = X @ beta
         h_eval = cv_bandwidth(Dataset(y, z[:, None]))
-        tables[tag] = [
-            {"family": fam_label,
-             "values": average_aqr_values(y, z, h_eval, fam, taus)}
-            for fam_label, fam in fams]
+        means = average_aqr_values(y, z, h_eval, [fam for _, fam in fams],
+                                   taus)
+        tables[tag] = [{"family": fam_label, "values": values}
+                       for (fam_label, _), values in zip(fams, means)]
     deviation = [
         {"family": full_row["family"],
          "values": [abs(a - b) for a, b in zip(full_row["values"],

@@ -6,10 +6,20 @@ index X.beta. The criterion averages, over all ordered observation pairs
 conditional CDF of y_j at the index of observation i. Objective, gradient,
 and Hessian are analytic in beta.
 
+No pair sum forms the n x n indicator. Sorted by y, it is a staircase: the
+kernel-weighted CDF of row i at every y_j is a cumulative sum along row i of
+its kernel weights, read at the last position of each run of tied y, and
+sum_j r_ij I(y_l <= y_j) is a reverse cumulative sum over the runs. The
+evaluation rows go in blocks of a fixed number of kernel cells, so memory is
+O(block * n * p) and work O(n^2 p) per call.
+
 Pair sums are grouped by shard and combined in ascending worker-label order
-with compensated summation. A distributed run that ships per-shard partials
-to a central machine therefore reproduces the pooled numbers bit for bit,
-because both paths call the identical helpers in the identical order.
+with compensated summation. Each row's sums are numpy reductions along that
+row alone, and a shard's part is the compensated sum of its rows, so it
+depends neither on the blocks nor, for untied y, on the row order within the
+shard. A distributed run that ships per-shard partials to a central machine
+therefore reproduces the pooled numbers bit for bit, because both paths call
+the identical helpers in the identical order.
 """
 
 import math
@@ -19,7 +29,7 @@ import numpy as np
 
 from .errors import (DomainError, IdentificationFail, IllConditioned,
                      LineSearchFail, ShapeMismatch, ZeroVector)
-from .kernel_cde import SQRT_2PI, Bandwidth, _as_bandwidth, _dphi, _phi
+from .kernel_cde import Bandwidth, _as_bandwidth
 
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
@@ -28,10 +38,10 @@ RIDGE_FLOOR = 1e-8
 # longest first line-search trial; a tangent step of length 1 turns beta
 # by 45 degrees
 MAX_STEP = 1.0
-
-
-def _ddphi(t):
-    return (t * t - 1.0) * np.exp(-0.5 * t * t) / SQRT_2PI
+# kernel cells (evaluation rows x n) per row block: 128 KiB per float array,
+# which stays in cache and below malloc's default mmap threshold, so
+# temporaries are not page-faulted in afresh on every block
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -67,52 +77,130 @@ def normalize_beta(beta):
     return -out if first < 0.0 else out
 
 
-def _index_and_indicators(data, beta):
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (data.p,):
-        raise ShapeMismatch(f"beta must have length {data.p}, got {beta.shape}")
-    z = data.X @ beta
-    ind = (data.y[:, None] <= data.y[None, :]).astype(float)
-    return z, ind
+class _YSorted:
+    """The observations in stable y order, with their tie runs, at one beta.
+
+    In this order I(y_l <= y_j) holds exactly for the sorted positions l up
+    to `ends[r]`, the last position of the tie run r that holds y_j. A pair
+    sum against the indicator is then a cumulative sum along the sorted rows
+    read at the run ends, and a run of tied y is scored once, weighted by its
+    length.
+    """
+
+    def __init__(self, data, beta, h):
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape != (data.p,):
+            raise ShapeMismatch(
+                f"beta must have length {data.p}, got {beta.shape}")
+        self.h = _as_bandwidth(h).h
+        self.X = data.X
+        self.z = data.X @ beta
+        order = np.argsort(data.y, kind="stable")
+        y = data.y[order]
+        self.zs = self.z[order]
+        self.xs = np.ascontiguousarray(data.X[order].T)
+        self.rank = np.empty(data.n, dtype=int)
+        self.rank[order] = np.arange(data.n)
+        self.ends = np.flatnonzero(np.diff(y, append=math.inf))
+        runs = np.diff(self.ends, prepend=-1)
+        self.count = runs.astype(float)
+        self.ties = self.ends.size < data.n
+        # tie run of each sorted position
+        self.run = np.repeat(np.arange(self.ends.size), runs)
+
+    def blocks(self, idx):
+        """The evaluation rows `idx` in consecutive blocks."""
+        size = max(1, _BLOCK_CELLS // self.zs.size)
+        return [idx[s:s + size] for s in range(0, idx.size, size)]
+
+    def kernel(self, rows):
+        """u_il = (z_l - z_i)/h for the rows i against the sorted rows l,
+        and exp(-u^2/2).
+
+        exp(-u^2/2) is the weight phi(u)/h times sqrt(2 pi) h. The factor
+        cancels from every ratio in the criterion, so the derivatives are
+        taken on the same scale: -u exp(-u^2/2)/h and
+        (u^2 - 1) exp(-u^2/2)/h^2.
+        """
+        u = (self.zs[None, :] - self.z[rows, None]) / self.h
+        return u, np.exp(-0.5 * u * u)
+
+    def offsets(self, rows):
+        """x_lm - x_im, shape (p, rows, n): the chain-rule factor of beta_m."""
+        return self.xs[:, None, :] - self.X[rows].T[:, :, None]
+
+    def staircase(self, k):
+        """Cumulative sums of k along the sorted rows, read at the last
+        position of each tie run; the last column holds the row totals."""
+        stairs = np.cumsum(k, axis=-1)
+        return stairs[..., self.ends] if self.ties else stairs
+
+    def indicator(self, rows):
+        """I(y_i <= y_j) for the rows i against the tie runs j."""
+        return self.rank[rows, None] <= self.ends[None, :]
+
+    def runs(self, a):
+        """Weight a per-run array by the run lengths."""
+        return a * self.count if self.ties else a
+
+    def reach(self, a):
+        """sum_j a[:, j] I(y_l <= y_j) at every sorted row l: a reverse
+        cumulative sum over the runs, read at each row's run."""
+        tail = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+        return tail[:, self.run] if self.ties else tail
+
+
+def _residuals(ys, rows, e):
+    """Level sums, their totals s2 and the pair residuals of the rows."""
+    num = ys.staircase(e)
+    s2 = num[:, -1]
+    return num, s2, ys.indicator(rows) - num / s2[:, None]
+
+
+def _objective_rows(ys, rows):
+    """Each row's sum over j of its squared pair residual."""
+    _, e = ys.kernel(rows)
+    resid = _residuals(ys, rows, e)[2]
+    return ys.runs(resid * resid).sum(axis=1)
+
+
+def _gradient_rows(ys, rows):
+    """Each row's gradient sum (unscaled), shape (p, rows).
+
+    sum_j r_ij dF_ij/dbeta with F_ij = num_ij/s2_i regroups by kernel pair:
+    sum_l dw_il/dbeta (mix_il/s2_i - sum_j r_ij num_ij/s2_i^2), where
+    mix_il = sum_j r_ij I(y_l <= y_j).
+    """
+    u, e = ys.kernel(rows)
+    num, s2, resid = _residuals(ys, rows, e)
+    resid = ys.runs(resid)
+    psi = ys.reach(resid) / s2[:, None] \
+        - ((resid * num).sum(axis=1) / (s2 * s2))[:, None]
+    return (((e * u / -ys.h) * psi) * ys.offsets(rows)).sum(axis=2)
 
 
 def _objective_parts(data, beta, h):
-    """Raw per-shard sums of squared pair residuals, ascending shard label."""
-    h = _as_bandwidth(h).h
-    z, ind = _index_and_indicators(data, beta)
+    """Raw per-shard sums of squared pair residuals, ascending shard label.
+
+    A shard's part is the compensated sum of its rows' sums, so it depends
+    neither on the row blocks nor, for untied y, on the row order.
+    """
+    ys = _YSorted(data, beta, h)
     parts = []
     for idx in data.shard_slices():
-        u = (z[None, :] - z[idx, None]) / h
-        w = _phi(u) / h
-        s2 = w.sum(axis=1)
-        resid = ind[idx, :] - (w @ ind) / s2[:, None]
-        parts.append(float((resid * resid).sum()))
+        rows = [_objective_rows(ys, b) for b in ys.blocks(idx)]
+        parts.append(math.fsum(np.concatenate(rows).tolist()))
     return parts
 
 
 def _gradient_parts(data, beta, h):
     """Raw per-shard gradient sums (unscaled), ascending shard label."""
-    h = _as_bandwidth(h).h
-    hh = h * h
-    z, ind = _index_and_indicators(data, beta)
-    x = data.X
+    ys = _YSorted(data, beta, h)
     parts = []
     for idx in data.shard_slices():
-        u = (z[None, :] - z[idx, None]) / h
-        w = _phi(u) / h
-        d = _dphi(u) / hh
-        s2 = w.sum(axis=1)
-        num = w @ ind
-        resid = ind[idx, :] - num / s2[:, None]
-        dnum0 = d @ ind
-        dden = d @ x - d.sum(axis=1)[:, None] * x[idx]
-        resid_s2 = resid / s2[:, None]
-        part = np.empty(data.p)
-        for m in range(data.p):
-            dnum_m = (d * x[:, m][None, :]) @ ind - x[idx, m][:, None] * dnum0
-            part[m] = float((resid_s2 * dnum_m).sum())
-        part -= ((resid * num).sum(axis=1) / (s2 * s2)) @ dden
-        parts.append(part)
+        rows = np.concatenate([_gradient_rows(ys, b) for b in ys.blocks(idx)],
+                              axis=1)
+        parts.append(np.array([math.fsum(m) for m in rows.tolist()]))
     return parts
 
 
@@ -136,47 +224,38 @@ def psis_gradient(data, beta, h):
 
 
 def psis_hessian(data, beta, h):
-    """Analytic Hessian of psis_objective; returned exactly symmetric."""
-    hb = _as_bandwidth(h).h
-    hh = hb * hb
-    n, p, x = data.n, data.p, data.X
-    z, ind = _index_and_indicators(data, beta)
-    u = (z[None, :] - z[:, None]) / hb
-    w = _phi(u) / hb
-    d = _dphi(u) / hh
-    dd = _ddphi(u) / (hh * hb)
-    s2 = w.sum(axis=1)
-    num = w @ ind
-    resid = ind - num / s2[:, None]
-    dnum0 = d @ ind
-    dden = d @ x - d.sum(axis=1)[:, None] * x
+    """Analytic Hessian of psis_objective; returned exactly symmetric.
 
-    def cross(omega):
-        # sum_{i,l} omega[i,l] (x_l - x_i)(x_l - x_i)^T without forming pairs
-        col = omega.sum(axis=0)
-        row = omega.sum(axis=1)
-        xox = x.T @ omega @ x
-        return (x.T * col) @ x + (x.T * row) @ x - xox - xox.T
-
-    grad_f = np.empty((n, n, p))
-    for m in range(p):
-        dnum_m = (d * x[:, m][None, :]) @ ind - x[:, m][:, None] * dnum0
-        grad_f[:, :, m] = dnum_m / s2[:, None] \
-            - num * (dden[:, m] / (s2 * s2))[:, None]
-    flat = grad_f.reshape(n * n, p)
-    hess = 2.0 * flat.T @ flat
-
-    mix = resid @ ind.T
-    t1 = cross(dd * mix / s2[:, None])
-    dmix = d * mix
-    b = dmix @ x - dmix.sum(axis=1)[:, None] * x
-    bs = b / (s2 * s2)[:, None]
-    t2 = bs.T @ dden + dden.T @ bs
-    ci = (w * mix).sum(axis=1)
-    t3 = cross(dd * (ci / (s2 * s2))[:, None])
-    t4 = (dden.T * (2.0 * ci / (s2 ** 3))) @ dden
-    hess -= 2.0 * (t1 - t2 - t3 + t4)
-    hess /= n * n
+    The Hessian of sum r_ij^2 is 2 sum dF dF^T (the Gauss-Newton term) minus
+    2 sum r_ij d2F_ij; the second sum is regrouped by kernel pair (i, l)
+    through mix_il = sum_j r_ij I(y_l <= y_j). Each block of rows adds p x p
+    terms, so memory is O(block * n * p).
+    """
+    ys = _YSorted(data, beta, h)
+    p = data.p
+    gauss = np.zeros((p, p))
+    curv = np.zeros((p, p))
+    mixed = np.zeros((p, p))
+    for rows in ys.blocks(np.arange(data.n)):
+        u, e = ys.kernel(rows)
+        num, s2, resid = _residuals(ys, rows, e)
+        ss = s2 * s2
+        dx = ys.offsets(rows)
+        slopes = (e * u / -ys.h) * dx
+        dnum = ys.staircase(slopes)
+        dden = dnum[..., -1]
+        grad_f = dnum / s2[:, None] - num * (dden / ss)[..., None]
+        gauss += ys.runs(grad_f).reshape(p, -1) @ grad_f.reshape(p, -1).T
+        mix = ys.reach(ys.runs(resid))
+        ci = (e * mix).sum(axis=1)
+        mixed += ((slopes * mix).sum(axis=2) / ss) @ dden.T
+        curv += (dden * (2.0 * ci / (ss * s2))) @ dden.T
+        # second derivative of the weights: phi'' (x_l - x_i)(x_l - x_i)^T
+        omega = (u * u - 1.0) * e / (ys.h * ys.h) \
+            * (mix / s2[:, None] - (ci / ss)[:, None])
+        curv += (omega * dx).reshape(p, -1) @ dx.reshape(p, -1).T
+    hess = 2.0 * gauss - 2.0 * (curv - mixed - mixed.T)
+    hess /= data.n * data.n
     return (hess + hess.T) / 2.0
 
 

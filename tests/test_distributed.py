@@ -8,8 +8,9 @@ from aqr.distributed import (CommReport, DistFitState, ShardPlan, aae,
                              partition, run_distributed)
 from aqr.errors import DomainError, IllConditioned, PlanMismatch, ShapeMismatch
 from aqr.kernel_cde import SQRT_2PI, Dataset, rule_bandwidth
-from aqr.single_index import (fit_full, normalize_beta, psis_gradient,
-                              psis_hessian, _newton_step)
+from aqr.single_index import (_gradient_parts, _newton_step,
+                              _objective_parts, fit_full, normalize_beta,
+                              psis_gradient, psis_hessian, psis_objective)
 
 BETA0 = np.array([1.0, 2.0]) / math.sqrt(5.0)
 
@@ -100,38 +101,112 @@ def test_local_init_degenerate_shard_raises():
 
 
 def test_distributed_gradient_matches_pooled_bit_for_bit():
-    # independent transcription of the per-worker partial sums, reduced in
-    # ascending worker order with fsum, reproduces psis_gradient exactly
+    # independent row-by-row transcription of the per-worker partial sums,
+    # reduced in ascending worker order with fsum, reproduces psis_gradient
+    # exactly; y is untied here, so every indicator column is its own run
     for k in (2, 3, 5):
         data = partition(quadratic_data(10 + k, n=90), even_plan(90, k),
                          seed=k)
         beta = normalize_beta(np.array([1.0, 1.0]))
         h = 0.5
         z = data.X @ beta
-        ind = (data.y[:, None] <= data.y[None, :]).astype(float)
-        hh = h * h
+        order = np.argsort(data.y, kind="stable")
+        ys, zs, xs = data.y[order], z[order], data.X[order]
         parts = []
         for label in range(k):
-            idx = np.flatnonzero(data.shard_of == label)
-            u = (z[None, :] - z[idx, None]) / h
-            w = (np.exp(-0.5 * u * u) / SQRT_2PI) / h
-            d = (-u * np.exp(-0.5 * u * u) / SQRT_2PI) / hh
-            s2 = w.sum(axis=1)
-            num = w @ ind
-            resid = ind[idx, :] - num / s2[:, None]
-            dnum0 = d @ ind
-            dden = d @ data.X - d.sum(axis=1)[:, None] * data.X[idx]
-            part = np.empty(2)
-            for m in range(2):
-                dnum_m = (d * data.X[:, m][None, :]) @ ind \
-                    - data.X[idx, m][:, None] * dnum0
-                part[m] = float((resid / s2[:, None] * dnum_m).sum())
-            part -= ((resid * num).sum(axis=1) / (s2 * s2)) @ dden
-            parts.append(part)
+            rows = []
+            for i in np.flatnonzero(data.shard_of == label):
+                u = (zs - z[i]) / h
+                e = np.exp(-0.5 * u * u)
+                cum = np.cumsum(e)
+                s2 = cum[-1]
+                resid = (data.y[i] <= ys) - cum / s2
+                mix = np.cumsum(resid[::-1])[::-1]
+                psi = mix / s2 - (resid * cum).sum() / (s2 * s2)
+                slope = (e * u / -h) * psi
+                rows.append([(slope * (xs[:, m] - data.X[i, m])).sum()
+                             for m in range(2)])
+            parts.append([math.fsum(r[m] for r in rows) for m in range(2)])
         want = (-2.0 / (data.n * data.n)) \
             * np.array([math.fsum(p[m] for p in parts) for m in range(2)])
         got = psis_gradient(data, beta, h)
         assert np.array_equal(got, want)
+
+
+def matmul_reference(data, beta, h):
+    """The dense pair sums the row-blocked engine replaced: n x n indicator
+    and kernel matrices multiplied together, per-shard objective and
+    gradient parts, and the pooled Hessian with its n x n x p tensor."""
+    n, p, x = data.n, data.p, data.X
+    hh = h * h
+    z = x @ beta
+    ind = (data.y[:, None] <= data.y[None, :]).astype(float)
+    u = (z[None, :] - z[:, None]) / h
+    w = (np.exp(-0.5 * u * u) / SQRT_2PI) / h
+    d = (-u * np.exp(-0.5 * u * u) / SQRT_2PI) / hh
+    dd = ((u * u - 1.0) * np.exp(-0.5 * u * u) / SQRT_2PI) / (hh * h)
+    s2 = w.sum(axis=1)
+    num = w @ ind
+    resid = ind - num / s2[:, None]
+    dnum0 = d @ ind
+    dden = d @ x - d.sum(axis=1)[:, None] * x
+    grad_f = np.empty((n, n, p))
+    for m in range(p):
+        dnum_m = (d * x[:, m][None, :]) @ ind - x[:, m][:, None] * dnum0
+        grad_f[:, :, m] = dnum_m / s2[:, None] \
+            - num * (dden[:, m] / (s2 * s2))[:, None]
+    slices = data.shard_slices()
+    objective_parts = [float((resid[idx] ** 2).sum()) for idx in slices]
+    gradient_parts = [np.einsum("ij,ijm->m", resid[idx], grad_f[idx])
+                      for idx in slices]
+
+    def cross(omega):
+        col = omega.sum(axis=0)
+        row = omega.sum(axis=1)
+        xox = x.T @ omega @ x
+        return (x.T * col) @ x + (x.T * row) @ x - xox - xox.T
+
+    flat = grad_f.reshape(n * n, p)
+    hess = 2.0 * flat.T @ flat
+    mix = resid @ ind.T
+    t1 = cross(dd * mix / s2[:, None])
+    dmix = d * mix
+    b = dmix @ x - dmix.sum(axis=1)[:, None] * x
+    bs = b / (s2 * s2)[:, None]
+    t2 = bs.T @ dden + dden.T @ bs
+    ci = (w * mix).sum(axis=1)
+    t3 = cross(dd * (ci / (s2 * s2))[:, None])
+    t4 = (dden.T * (2.0 * ci / (s2 ** 3))) @ dden
+    hess -= 2.0 * (t1 - t2 - t3 + t4)
+    hess /= n * n
+    return objective_parts, gradient_parts, (hess + hess.T) / 2.0
+
+
+@pytest.mark.parametrize("k", [1, 6, 10])
+def test_pair_sums_match_matmul_reference(k):
+    # coarse y forces tie runs; the engine regroups the same sums, so only
+    # rounding separates it from the dense products
+    rng = np.random.default_rng(40 + k)
+    n, p = 120, 3
+    x = rng.normal(2.0, 1.0, (n, p))
+    y = np.round((x @ np.ones(p)) ** 2 / 10.0 + rng.normal(size=n))
+    assert np.unique(y).size < n // 4
+    data = partition(Dataset(y, x), even_plan(n, k), seed=k)
+    beta = normalize_beta(rng.normal(size=p) + 0.5)
+    h = 0.6
+    obj_parts, grad_parts, hess = matmul_reference(data, beta, h)
+
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert close(_objective_parts(data, beta, h), obj_parts)
+    assert close(_gradient_parts(data, beta, h), grad_parts)
+    assert close(psis_objective(data, beta, h),
+                 math.fsum(obj_parts) / (n * n))
+    assert close(psis_gradient(data, beta, h),
+                 -2.0 / (n * n) * np.sum(grad_parts, axis=0))
+    assert close(psis_hessian(data, beta, h), hess)
 
 
 def test_newton_round_k1_is_undamped_full_step():

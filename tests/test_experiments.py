@@ -143,7 +143,7 @@ def test_average_aqr_values_matches_per_row_estimates():
     data = Dataset(y, z[:, None])
     for fam in (es(), tcrm("half-inverse"), qr_dirac()):
         for tau in (0.1, 0.5, 0.9):
-            got = average_aqr_values(y, z, h, fam, [tau])[0]
+            got = average_aqr_values(y, z, h, [fam], [tau])[0][0]
             want = np.mean([aqr_conditional(cde_curve(data, h, zi), fam,
                                             tau).value for zi in z])
             assert got == pytest.approx(want, rel=1e-10)
@@ -172,13 +172,26 @@ def test_average_aqr_values_over_levels_equals_one_level_calls():
     h = 0.3
     taus = [0.9, 0.05, 0.5, 0.3, 0.5, 0.99]
     for fam in (es(), tcrm("half-inverse"), qr_dirac()):
-        got = average_aqr_values(y, z, h, fam, taus)
+        got = average_aqr_values(y, z, h, [fam], taus)[0]
         assert len(got) == len(taus)
         for value, tau in zip(got, taus):
             assert type(value) is float
-            assert value == average_aqr_values(y, z, h, fam, [tau])[0]
+            assert value == average_aqr_values(y, z, h, [fam], [tau])[0][0]
             assert value == _one_level_average(y, z, h, fam, tau)
 
+
+
+def test_average_aqr_values_over_families_equals_one_family_calls():
+    rng = np.random.default_rng(31)
+    n = 60
+    y = np.round(rng.normal(size=n), 1)  # tied y
+    z = rng.normal(size=n)
+    families = [es(), qr_dirac(), tcrm("half-inverse"), es()]
+    taus = [0.5, 0.1, 0.95]
+    got = average_aqr_values(y, z, 0.3, families, taus)
+    assert len(got) == len(families)
+    for means, fam in zip(got, families):
+        assert means == average_aqr_values(y, z, 0.3, [fam], taus)[0]
 
 AIRQ_HEADER = ("station,year,month,day,hour,PM2.5,TEMP,PRES,DEWP,WSPM\n")
 

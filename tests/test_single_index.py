@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,9 @@ from aqr.errors import (DomainError, IdentificationFail, IllConditioned,
                         ZeroVector)
 from aqr.experiments import _rep_seed, _sim2_draw
 from aqr.kernel_cde import SQRT_2PI, Dataset, rule_bandwidth
-from aqr.single_index import (MAX_HALVINGS, MAX_STEP, IndexModel,
-                              _backtrack, _tangent_step, fit_full,
+from aqr.single_index import (_BLOCK_CELLS, MAX_HALVINGS, MAX_STEP,
+                              IndexModel, _backtrack, _gradient_parts,
+                              _objective_parts, _tangent_step, fit_full,
                               normalize_beta, psis_gradient, psis_hessian,
                               psis_objective)
 
@@ -64,8 +66,9 @@ def fd_hessian(data, beta, h, step=1e-5):
 
 
 def test_objective_matches_double_loop():
-    # independent code paths agree to accumulation noise; BLAS reorders the
-    # kernel sums, so exact bit equality is not attainable here
+    # independent code paths agree to accumulation noise; the engine sums
+    # the kernel weights cumulatively in y order, the loop in row order, so
+    # exact bit equality is not attainable here
     for seed in range(5):
         rng = np.random.default_rng(seed)
         data, _ = quadratic_model(rng, n=10)
@@ -335,3 +338,76 @@ def test_fit_skips_unresolvable_halvings_on_quadratic_index():
     assert len(calls) <= 12
     grad = psis_gradient(data, beta, h)
     assert np.max(np.abs(grad - (grad @ beta) * beta)) < 1e-7
+
+
+@st.composite
+def sharded_problems(draw):
+    """Up to 60 rows in 1-4 shards; y untied or drawn from four values."""
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        ints = draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
+                             max_size=n, unique=True))
+        y = np.array(ints) / 1000.0
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                   max_size=n)), dtype=float)
+    x = draw(arrays(float, (n, p), elements=entries))
+    shard_of = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                      max_size=n)))
+    raw = draw(arrays(float, p, elements=entries))
+    assume(raw[0] > 0.0)
+    h = draw(st.sampled_from([0.3, 1.0, 4.0]))
+    perm = np.array(draw(st.permutations(range(n))))
+    return Dataset(y, x, shard_of), normalize_beta(raw), h, perm
+
+
+def _parts(data, beta, h):
+    return (np.array(_objective_parts(data, beta, h)),
+            np.array(_gradient_parts(data, beta, h)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sharded_problems())
+def test_shard_parts_invariant_to_row_order(problem):
+    data, beta, h, perm = problem
+    moved = Dataset(data.y[perm], data.X[perm], data.shard_of[perm])
+    for got, want in zip(_parts(moved, beta, h), _parts(data, beta, h)):
+        if np.unique(data.y).size == data.n:
+            assert np.array_equal(got, want)
+        else:
+            # the stable sort orders each tie run by row, and the kernel
+            # sums follow that order
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(sharded_problems())
+def test_shard_parts_independent_of_row_blocks(problem):
+    data, beta, h, _ = problem
+    want = _parts(data, beta, h)
+    # the default puts every shard of up to 60 rows in one block
+    assert _BLOCK_CELLS // data.n > 7
+    for rows in (1, 7):
+        with mock.patch("aqr.single_index._BLOCK_CELLS", rows * data.n):
+            got = _parts(data, beta, h)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("derivative", [psis_gradient, psis_hessian])
+def test_derivative_memory_is_bounded_by_row_blocks(derivative):
+    # the dense n x n x p products peaked at 756 MiB (gradient) and
+    # 1167 MiB (Hessian) here
+    rng = np.random.default_rng(5)
+    n, p = 3000, 4
+    X = rng.normal(size=(n, p))
+    data = Dataset(X @ np.ones(p) + rng.normal(size=n), X)
+    tracemalloc.start()
+    try:
+        derivative(data, np.full(p, 0.5), 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
