@@ -36,12 +36,6 @@ class AqrEstimate:
             "mass_deficit": self.mass_deficit,
         }
 
-    def csv_row(self):
-        x0 = self.x0
-        if isinstance(x0, np.ndarray):
-            x0 = " ".join(format(v, "g") for v in x0)
-        return [self.tau, self.family.label(), x0, self.value]
-
 
 def aqr_conditional(F, family, tau, x0=None):
     """Exact telescoped reduction of the step CDF under the weight family.

@@ -18,8 +18,8 @@ from .estimator import aqr_conditional, rpad
 from .families import (WeightFamily, _tau, es, exp_spectral, extremile,
                        g_value, ge, ges, qr_dirac, tabulated, tcrm,
                        validate_c1)
-from .kernel_cde import (Dataset, _as_bandwidth, cde_curve, cv_bandwidth,
-                         rule_bandwidth)
+from .kernel_cde import (Dataset, _YSorted, _as_bandwidth, cde_curve,
+                         cv_bandwidth, rule_bandwidth)
 from .oracle import (beta_dist, exponential, frechet_limit_ratio, normal,
                      population_aqr, quantile, student_t, uniform)
 from .portfolio import evaluate, optimize_weights
@@ -515,36 +515,33 @@ def load_airquality(path, winter=True):
 def average_aqr_values(y, z, h, families, taus):
     """Mean over rows of the exact telescoped estimate, per family and level.
 
-    Builds the kernel CDF levels for all evaluation points once, in one
-    matrix, and reuses them for every family in `families` and every level
-    in `taus`; only the weight transform depends on the family and the level,
-    so each mean is the one a single-family, single-level call gives, bit for
-    bit. Returns one list of means (one per level) per family. Matches
+    Walks the _YSorted row blocks: each block's kernel CDF levels at every
+    distinct y are one staircase, reused for every family in `families` and
+    every level in `taus` while the block is in cache, so memory is
+    O(block * n). Only the weight transform depends on the family and the
+    level, and each row's estimate is computed along that row, so each mean
+    is the one a single-family, single-level call gives, bit for bit.
+    Returns one list of means (one per level) per family. Matches
     aqr_conditional row by row up to summation order.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     ts = [_tau(t) for t in taus]
     h = _as_bandwidth(h).h
-    order = np.argsort(y, kind="stable")
-    y_sorted = y[order]
-    knots = np.unique(y_sorted)
-    last = np.searchsorted(y_sorted, knots, side="right") - 1
-    w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / h) ** 2)
-    levels = np.cumsum(w[:, order], axis=1)[:, last]
-    levels /= levels[:, -1:]
-    table = []
-    for family in families:
-        means = []
-        for t in ts:
-            if family.kind == "qr-dirac":
-                values = knots[np.argmax(levels >= t, axis=1)]
-            else:
-                g = g_value(family, t, levels)
-                values = np.diff(g, axis=1, prepend=0.0) @ knots
-            means.append(float(np.mean(values)))
-        table.append(means)
-    return table
+    ys = _YSorted(y, z)
+    values = np.empty((len(families), len(ts), y.size))
+    for rows in ys.blocks(np.arange(y.size)):
+        levels = ys.staircase(np.exp(-0.5 * (ys.diff(rows) / h) ** 2))
+        levels /= levels[:, -1:]
+        for f, family in enumerate(families):
+            for k, t in enumerate(ts):
+                if family.kind == "qr-dirac":
+                    est = ys.knots[np.argmax(levels >= t, axis=1)]
+                else:
+                    g = g_value(family, t, levels)
+                    est = np.diff(g, axis=1, prepend=0.0) @ ys.knots
+                values[f, k, rows] = est
+    return [[float(np.mean(v)) for v in means] for means in values]
 
 
 def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS, seed=0):

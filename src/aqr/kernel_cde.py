@@ -7,12 +7,16 @@ summation, shard by shard in ascending worker-label order: a multi-shard
 computation that exchanges per-shard partial sums reproduces the
 single-machine numbers bit for bit because both run the identical reduction.
 
-A whole curve walks the rows once in y order and keeps each shard's running
-sum exactly, as the non-overlapping partials that math.fsum itself builds
-(Shewchuk 1997), so every level is the real number the masked compensated sum
-rounds. Bandwidth cross-validation sorts the rows by y, which turns the
-indicator matrix into a staircase: the kernel-weighted CDF of a block of rows
-is a cumulative sum along each row, and memory stays O(block * n).
+_YSorted owns the y order: it is the one place that sorts y, finds its tie
+runs and cuts the rows into blocks. Sorted by y, the indicator matrix
+I(y_l <= y_j) is a staircase, so the kernel-weighted CDF of a block of rows at
+every y_j is a cumulative sum along each row, read at the last position of
+each tie run, and memory stays O(block * n). Bandwidth cross-validation, the
+average-estimate table and the single-index pair sums all run on its blocks,
+each with its own per-block arithmetic. A whole curve walks the rows once in
+its y order and keeps each shard's running sum exactly, as the
+non-overlapping partials that math.fsum itself builds (Shewchuk 1997), so
+every level is the real number the masked compensated sum rounds.
 """
 
 import math
@@ -25,6 +29,10 @@ from .errors import (DomainError, EmptyGrid, KernelUnderflow, ShapeMismatch)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # rows per kernel block in cv_bandwidth; a block holds a few block x n arrays
 _CV_BLOCK_ROWS = 128
+# kernel cells (evaluation rows x n) per row block elsewhere: 128 KiB per
+# float array, which stays in cache and below malloc's default mmap
+# threshold, so temporaries are not page-faulted in afresh on every block
+_BLOCK_CELLS = 1 << 14
 
 
 def _phi(t):
@@ -136,7 +144,71 @@ def reduce_fsum(values, slices):
 
 
 def _kernel_weights(z, z0, h):
-    return _phi((z - z0) / h) / h
+    """Scaled distances t = (z - z0)/h and weights phi(t)/h; raises
+    KernelUnderflow when every weight vanishes."""
+    t = (z - z0) / h
+    w = _phi(t) / h
+    if not np.any(w >= 1e-300):
+        raise KernelUnderflow(
+            f"all kernel weights vanished at z0={z0!r} with h={h}")
+    return t, w
+
+
+class _YSorted:
+    """The observations in stable y order, with their tie runs.
+
+    In this order I(y_l <= y_j) holds exactly for the sorted positions l up
+    to `ends[r]`, the last position of the tie run r that holds y_j. A pair
+    sum against the indicator is then a cumulative sum along the sorted rows
+    read at the run ends, and a run of tied y is scored once, weighted by its
+    length.
+    """
+
+    def __init__(self, y, z):
+        self.order = np.argsort(y, kind="stable")
+        y = y[self.order]
+        self.z = z
+        self.zs = z[self.order]
+        self.rank = np.empty(y.size, dtype=int)
+        self.rank[self.order] = np.arange(y.size)
+        self.ends = np.flatnonzero(np.diff(y, append=math.inf))
+        self.knots = y[self.ends]
+        runs = np.diff(self.ends, prepend=-1)
+        self.count = runs.astype(float)
+        self.ties = self.ends.size < y.size
+        # tie run of each sorted position
+        self.run = np.repeat(np.arange(self.ends.size), runs)
+
+    def blocks(self, idx, size=None):
+        """The evaluation rows `idx` in consecutive blocks of `size` rows,
+        by default _BLOCK_CELLS kernel cells."""
+        if size is None:
+            size = max(1, _BLOCK_CELLS // self.zs.size)
+        return [idx[s:s + size] for s in range(0, idx.size, size)]
+
+    def diff(self, rows):
+        """z_l - z_i for the rows i against the sorted rows l."""
+        return self.zs[None, :] - self.z[rows, None]
+
+    def staircase(self, k):
+        """Cumulative sums of k along the sorted rows, read at the last
+        position of each tie run; the last column holds the row totals."""
+        stairs = np.cumsum(k, axis=-1)
+        return stairs[..., self.ends] if self.ties else stairs
+
+    def indicator(self, rows):
+        """I(y_i <= y_j) for the rows i against the tie runs j."""
+        return self.rank[rows, None] <= self.ends[None, :]
+
+    def runs(self, a):
+        """Weight a per-run array by the run lengths."""
+        return a * self.count if self.ties else a
+
+    def reach(self, a):
+        """sum_j a[:, j] I(y_l <= y_j) at every sorted row l: a reverse
+        cumulative sum over the runs, read at each row's run."""
+        tail = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+        return tail[:, self.run] if self.ties else tail
 
 
 def _conditioner(data, beta=None):
@@ -155,10 +227,7 @@ def cde_eval(data, h, x0, y0):
     """F-hat(y0 | x0): indicator-weighted kernel ratio, in [0, 1]."""
     h = _as_bandwidth(h)
     z, _ = _conditioner(data)
-    w = _kernel_weights(z, float(x0), h.h)
-    if not np.any(w >= 1e-300):
-        raise KernelUnderflow(
-            f"all kernel weights vanished at x0={x0!r} with h={h.h}")
+    w = _kernel_weights(z, float(x0), h.h)[1]
     slices = data.shard_slices()
     den = reduce_fsum(w, slices)
     num = math.fsum(math.fsum(w[idx][data.y[idx] <= y0]) for idx in slices)
@@ -192,20 +261,15 @@ def cde_curve(data, h, x0):
     """
     h = _as_bandwidth(h)
     z, _ = _conditioner(data)
-    w = _kernel_weights(z, float(x0), h.h)
-    if not np.any(w >= 1e-300):
-        raise KernelUnderflow(
-            f"all kernel weights vanished at x0={x0!r} with h={h.h}")
+    w = _kernel_weights(z, float(x0), h.h)[1]
     den = reduce_fsum(w, data.shard_slices())
     labels, shard = np.unique(data.shard_of, return_inverse=True)
-    order = np.argsort(data.y, kind="stable")
-    y = data.y[order]
-    knots = np.unique(y)
-    ends = np.searchsorted(y, knots, side="right").tolist()
-    w, shard = w[order].tolist(), shard[order].tolist()
+    ys = _YSorted(data.y, z)
+    ends = (ys.ends + 1).tolist()
+    w, shard = w[ys.order].tolist(), shard[ys.order].tolist()
     partials = [[] for _ in labels]
     sums = [0.0] * len(labels)
-    levels = np.empty(knots.size)
+    levels = np.empty(ys.knots.size)
     start = 0
     for j, end in enumerate(ends):
         for i in range(start, end):
@@ -214,7 +278,7 @@ def cde_curve(data, h, x0):
             sums[k] = math.fsum(partials[k])
         levels[j] = math.fsum(sums) / den
         start = end
-    return StepCDF(knots=knots, levels=levels)
+    return StepCDF(knots=ys.knots, levels=levels)
 
 
 def index_cde_eval(data, beta, h, x0, y0):
@@ -235,11 +299,7 @@ def index_cde_grad(data, beta, h, x0, y0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (data.p,):
         raise ShapeMismatch(f"x0 must have length {data.p}, got {x0.shape}")
-    t = (z - float(x0 @ beta)) / h.h
-    w = _phi(t) / h.h
-    if not np.any(w >= 1e-300):
-        raise KernelUnderflow(
-            f"all kernel weights vanished at x0.beta with h={h.h}")
+    t, w = _kernel_weights(z, float(x0 @ beta), h.h)
     dw = _dphi(t) / (h.h * h.h)
     Xc = data.X - x0
     slices = data.shard_slices()
@@ -278,11 +338,10 @@ def cv_bandwidth(data, beta=None, grid=None):
     estimator minimizes. Ties resolve to the smallest h, and a bandwidth
     whose leave-one-out weights vanish for some row is skipped.
 
-    The rows are sorted by y once, so I(Y_j <= Y_l) holds exactly for the
-    sorted positions j up to the last one tied with Y_l. Blocks of rows then
-    take the numerator of every F-hat_{-i}(Y_l) from a cumulative sum of
-    their kernel weights, and a run of tied Y_l is scored once, weighted by
-    its length: O(n^2) work per bandwidth and O(block * n) memory.
+    Blocks of rows, taken in y order, read the numerator of every
+    F-hat_{-i}(Y_l) from the _YSorted staircase of their kernel weights, and
+    a run of tied Y_l is scored once, weighted by its length: O(n^2) work per
+    bandwidth and O(block * n) memory.
     """
     z, _ = _conditioner(data, beta)
     if grid is None:
@@ -291,18 +350,12 @@ def cv_bandwidth(data, beta=None, grid=None):
     if len(grid) == 0:
         raise EmptyGrid("bandwidth grid is empty")
     grid = sorted(grid, key=lambda b: b.h)
-    order = np.argsort(data.y, kind="stable")
-    y, z = data.y[order], z[order]
-    n = y.size
-    # sorted position of the last row in each run of tied y, and run lengths
-    ends = np.flatnonzero(np.diff(y, append=math.inf))
-    count = np.diff(ends, prepend=-1).astype(float)
-    ties = ends.size < n
+    ys = _YSorted(data.y, z)
     totals = np.zeros(len(grid))
-    for start in range(0, n, _CV_BLOCK_ROWS):
-        rows = np.arange(start, min(start + _CV_BLOCK_ROWS, n))
-        diff = z[None, :] - z[rows, None]
-        ind = rows[:, None] <= ends[None, :]
+    for rows in ys.blocks(ys.order, _CV_BLOCK_ROWS):
+        diff = ys.diff(rows)
+        ind = ys.indicator(rows)
+        own = (np.arange(rows.size), ys.rank[rows])
         w = np.empty_like(diff)
         for g, bw in enumerate(grid):
             if math.isnan(totals[g]):
@@ -314,18 +367,18 @@ def cv_bandwidth(data, beta=None, grid=None):
             np.exp(w, out=w)
             w /= SQRT_2PI
             w /= bw.h
-            w[rows - start, rows] = 0.0
+            w[own] = 0.0
             np.cumsum(w, axis=1, out=w)
             s2 = w[:, -1:].copy()
             if not np.all(s2 > 0.0):
                 totals[g] = math.nan
                 continue
             # rows tied in y share one column value: read each run once
-            err = w[:, ends] if ties else w
+            err = w[:, ys.ends] if ys.ties else w
             err /= s2
             err -= ind
             np.square(err, out=err)
-            totals[g] += float(np.sum(err @ count))
+            totals[g] += float(np.sum(err @ ys.count))
     best = None
     best_score = math.inf
     for bw, score in zip(grid, totals.tolist()):

@@ -6,9 +6,10 @@ index X.beta. The criterion averages, over all ordered observation pairs
 conditional CDF of y_j at the index of observation i. Objective, gradient,
 and Hessian are analytic in beta.
 
-No pair sum forms the n x n indicator. Sorted by y, it is a staircase: the
-kernel-weighted CDF of row i at every y_j is a cumulative sum along row i of
-its kernel weights, read at the last position of each run of tied y, and
+No pair sum forms the n x n indicator. kernel_cde._YSorted owns the y order,
+the tie runs and the row blocks, and turns the indicator into a staircase of
+cumulative kernel sums; this module adds only the index: beta, the
+bandwidth, the y-sorted covariate offsets and the kernel. On the staircase,
 sum_j r_ij I(y_l <= y_j) is a reverse cumulative sum over the runs. The
 evaluation rows go in blocks of a fixed number of kernel cells, so memory is
 O(block * n * p) and work O(n^2 p) per call.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import (DomainError, IdentificationFail, IllConditioned,
                      LineSearchFail, ShapeMismatch, ZeroVector)
-from .kernel_cde import Bandwidth, _as_bandwidth
+from .kernel_cde import Bandwidth, _YSorted, _as_bandwidth
 
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
@@ -38,10 +39,6 @@ RIDGE_FLOOR = 1e-8
 # longest first line-search trial; a tangent step of length 1 turns beta
 # by 45 degrees
 MAX_STEP = 1.0
-# kernel cells (evaluation rows x n) per row block: 128 KiB per float array,
-# which stays in cache and below malloc's default mmap threshold, so
-# temporaries are not page-faulted in afresh on every block
-_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -77,41 +74,18 @@ def normalize_beta(beta):
     return -out if first < 0.0 else out
 
 
-class _YSorted:
-    """The observations in stable y order, with their tie runs, at one beta.
-
-    In this order I(y_l <= y_j) holds exactly for the sorted positions l up
-    to `ends[r]`, the last position of the tie run r that holds y_j. A pair
-    sum against the indicator is then a cumulative sum along the sorted rows
-    read at the run ends, and a run of tied y is scored once, weighted by its
-    length.
-    """
+class _IndexSorted(_YSorted):
+    """The y-sorted observations at one beta, with the index kernel."""
 
     def __init__(self, data, beta, h):
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (data.p,):
             raise ShapeMismatch(
                 f"beta must have length {data.p}, got {beta.shape}")
+        super().__init__(data.y, data.X @ beta)
         self.h = _as_bandwidth(h).h
         self.X = data.X
-        self.z = data.X @ beta
-        order = np.argsort(data.y, kind="stable")
-        y = data.y[order]
-        self.zs = self.z[order]
-        self.xs = np.ascontiguousarray(data.X[order].T)
-        self.rank = np.empty(data.n, dtype=int)
-        self.rank[order] = np.arange(data.n)
-        self.ends = np.flatnonzero(np.diff(y, append=math.inf))
-        runs = np.diff(self.ends, prepend=-1)
-        self.count = runs.astype(float)
-        self.ties = self.ends.size < data.n
-        # tie run of each sorted position
-        self.run = np.repeat(np.arange(self.ends.size), runs)
-
-    def blocks(self, idx):
-        """The evaluation rows `idx` in consecutive blocks."""
-        size = max(1, _BLOCK_CELLS // self.zs.size)
-        return [idx[s:s + size] for s in range(0, idx.size, size)]
+        self.xs = np.ascontiguousarray(data.X[self.order].T)
 
     def kernel(self, rows):
         """u_il = (z_l - z_i)/h for the rows i against the sorted rows l,
@@ -122,32 +96,12 @@ class _YSorted:
         taken on the same scale: -u exp(-u^2/2)/h and
         (u^2 - 1) exp(-u^2/2)/h^2.
         """
-        u = (self.zs[None, :] - self.z[rows, None]) / self.h
+        u = self.diff(rows) / self.h
         return u, np.exp(-0.5 * u * u)
 
     def offsets(self, rows):
         """x_lm - x_im, shape (p, rows, n): the chain-rule factor of beta_m."""
         return self.xs[:, None, :] - self.X[rows].T[:, :, None]
-
-    def staircase(self, k):
-        """Cumulative sums of k along the sorted rows, read at the last
-        position of each tie run; the last column holds the row totals."""
-        stairs = np.cumsum(k, axis=-1)
-        return stairs[..., self.ends] if self.ties else stairs
-
-    def indicator(self, rows):
-        """I(y_i <= y_j) for the rows i against the tie runs j."""
-        return self.rank[rows, None] <= self.ends[None, :]
-
-    def runs(self, a):
-        """Weight a per-run array by the run lengths."""
-        return a * self.count if self.ties else a
-
-    def reach(self, a):
-        """sum_j a[:, j] I(y_l <= y_j) at every sorted row l: a reverse
-        cumulative sum over the runs, read at each row's run."""
-        tail = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
-        return tail[:, self.run] if self.ties else tail
 
 
 def _residuals(ys, rows, e):
@@ -185,7 +139,7 @@ def _objective_parts(data, beta, h):
     A shard's part is the compensated sum of its rows' sums, so it depends
     neither on the row blocks nor, for untied y, on the row order.
     """
-    ys = _YSorted(data, beta, h)
+    ys = _IndexSorted(data, beta, h)
     parts = []
     for idx in data.shard_slices():
         rows = [_objective_rows(ys, b) for b in ys.blocks(idx)]
@@ -195,7 +149,7 @@ def _objective_parts(data, beta, h):
 
 def _gradient_parts(data, beta, h):
     """Raw per-shard gradient sums (unscaled), ascending shard label."""
-    ys = _YSorted(data, beta, h)
+    ys = _IndexSorted(data, beta, h)
     parts = []
     for idx in data.shard_slices():
         rows = np.concatenate([_gradient_rows(ys, b) for b in ys.blocks(idx)],
@@ -231,7 +185,7 @@ def psis_hessian(data, beta, h):
     through mix_il = sum_j r_ij I(y_l <= y_j). Each block of rows adds p x p
     terms, so memory is O(block * n * p).
     """
-    ys = _YSorted(data, beta, h)
+    ys = _IndexSorted(data, beta, h)
     p = data.p
     gauss = np.zeros((p, p))
     curv = np.zeros((p, p))

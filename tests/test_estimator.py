@@ -122,5 +122,3 @@ def test_estimate_serialization():
     assert d["x0"] == [1.0, 2.0]
     assert d["family"] == {"kind": "es"}
     assert d["n_knots"] == 2
-    row = est.csv_row()
-    assert row[0] == 0.25 and row[3] == est.value

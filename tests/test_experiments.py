@@ -1,16 +1,19 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from aqr.errors import DomainError, ParseError
 from aqr.estimator import aqr_conditional
-from aqr.experiments import (SIX_DISTRIBUTIONS, average_aqr_values,
+from aqr.experiments import (AIRQ_TAUS, SIX_DISTRIBUTIONS, average_aqr_values,
                              builtin_families, check_compare_ordering,
                              compare_rows, k1_newton_gap, load_airquality,
                              run_airquality, run_compare, run_portfolio,
                              run_sim1, run_sim2, run_validate, study_families,
                              violator_families, _rep_seed)
 from aqr.families import es, g_value, qr_dirac, tcrm
-from aqr.kernel_cde import Dataset, cde_curve
+from aqr.kernel_cde import _BLOCK_CELLS, Dataset, cde_curve
 from aqr.oracle import normal, population_aqr, quantile
 from aqr.portfolio import ReturnsMatrix
 
@@ -192,6 +195,42 @@ def test_average_aqr_values_over_families_equals_one_family_calls():
     assert len(got) == len(families)
     for means, fam in zip(got, families):
         assert means == average_aqr_values(y, z, 0.3, [fam], taus)[0]
+
+
+def test_average_aqr_values_over_row_blocks_matches_one_level_average():
+    rng = np.random.default_rng(37)
+    n = 300
+    y = np.round(rng.normal(size=n), 1)  # tied y
+    z = rng.normal(size=n)
+    h = 0.3
+    families = [es(), tcrm("half-inverse"), qr_dirac()]
+    taus = [0.05, 0.3, 0.5, 0.9, 0.99]
+    # the default splits n = 300 into blocks of 54 rows
+    assert _BLOCK_CELLS // n < n
+    for cells in (n, 7 * n, _BLOCK_CELLS):
+        with mock.patch("aqr.kernel_cde._BLOCK_CELLS", cells):
+            got = average_aqr_values(y, z, h, families, taus)
+        for means, fam in zip(got, families):
+            for value, tau in zip(means, taus):
+                want = _one_level_average(y, z, h, fam, tau)
+                assert abs(value - want) <= 1e-13 * abs(want)
+
+
+def test_average_aqr_values_memory_is_bounded_by_row_blocks():
+    # the n x n level matrix and its transforms peaked at 187 MiB here
+    rng = np.random.default_rng(41)
+    n = 2000
+    z = rng.normal(size=n)
+    y = z + rng.normal(size=n)
+    families = [qr_dirac()] + [fam for _, fam in study_families()]
+    tracemalloc.start()
+    try:
+        average_aqr_values(y, z, 0.3, families, AIRQ_TAUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
 
 AIRQ_HEADER = ("station,year,month,day,hour,PM2.5,TEMP,PRES,DEWP,WSPM\n")
 

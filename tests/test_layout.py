@@ -1,0 +1,33 @@
+"""Source-layout guards: kernel_cde._YSorted is the one owner of the y order.
+
+A kernel CDF read at every observed y needs y sorted and its tie runs found.
+Those decisions live in kernel_cde._YSorted; a module that sorts y on its own
+would drift from it, so these modules may not call the sorting primitives.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import aqr
+
+FORBIDDEN = {"argsort", "unique", "searchsorted"}
+
+
+def _called_names(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                yield func.attr, node.lineno
+            elif isinstance(func, ast.Name):
+                yield func.id, node.lineno
+
+
+@pytest.mark.parametrize("module", ["single_index.py", "experiments.py"])
+def test_module_takes_its_y_order_from_kernel_cde(module):
+    path = Path(aqr.__file__).parent / module
+    calls = [f"{module}:{line} {name}" for name, line in _called_names(path)
+             if name in FORBIDDEN]
+    assert calls == []

@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from aqr.errors import (DomainError, IdentificationFail, IllConditioned,
                         ZeroVector)
 from aqr.experiments import _rep_seed, _sim2_draw
-from aqr.kernel_cde import SQRT_2PI, Dataset, rule_bandwidth
-from aqr.single_index import (_BLOCK_CELLS, MAX_HALVINGS, MAX_STEP,
+from aqr.kernel_cde import _BLOCK_CELLS, SQRT_2PI, Dataset, rule_bandwidth
+from aqr.single_index import (MAX_HALVINGS, MAX_STEP,
                               IndexModel, _backtrack, _gradient_parts,
                               _objective_parts, _tangent_step, fit_full,
                               normalize_beta, psis_gradient, psis_hessian,
@@ -390,7 +390,7 @@ def test_shard_parts_independent_of_row_blocks(problem):
     # the default puts every shard of up to 60 rows in one block
     assert _BLOCK_CELLS // data.n > 7
     for rows in (1, 7):
-        with mock.patch("aqr.single_index._BLOCK_CELLS", rows * data.n):
+        with mock.patch("aqr.kernel_cde._BLOCK_CELLS", rows * data.n):
             got = _parts(data, beta, h)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
