@@ -425,7 +425,8 @@ def k1_newton_gap(master_seed=1, n=200, rounds=None):
 
 def run_portfolio(fit_returns, test_returns, bench, family, tau, starts=20,
                   iterations=2000, seed=0, mode="normalized"):
-    """Optimize on the fit window, score on the test window."""
+    """Optimize on the fit window, score on the test window; the report
+    carries the optimizer's deterministic diagnostics."""
     weights = optimize_weights(fit_returns, family, tau, starts=starts,
                                iterations=iterations, seed=seed, mode=mode)
     scores = evaluate(test_returns, weights, bench)
@@ -433,7 +434,8 @@ def run_portfolio(fit_returns, test_returns, bench, family, tau, starts=20,
     out.update({"SR": scores["SR"], "PD": scores["PD"],
                 "family": family.label(), "tau": float(_tau(tau)),
                 "fit_days": fit_returns.days,
-                "test_days": test_returns.days})
+                "test_days": test_returns.days,
+                "diagnostics": weights.diagnostics})
     return out
 
 

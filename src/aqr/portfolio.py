@@ -3,8 +3,10 @@
 The objective is the signed sample risk of the portfolio return series,
 which is convex in the weights for every coherent weight family (positive
 homogeneity plus subadditivity). Minimization runs a projected subgradient
-method with diminishing steps from several starts; the subgradient uses the
-order-statistic weights of the sample estimator, averaging within blocks of
+method with diminishing steps from several starts, all advanced together as
+the columns of one weight matrix, so each iteration is a few matrix products
+and one row-wise sort. The subgradient uses the order-statistic weights of
+the sample estimator (sample_risk.order_weights), averaging within blocks of
 tied portfolio returns so the choice of sorting permutation cannot matter.
 """
 
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSeries, DegenerateWeights, DomainError,
-                     ShapeMismatch)
-from .families import _tau, j_value, omega
-from .sample_risk import risk_sample
+from .errors import DegenerateSeries, DomainError, ShapeMismatch
+from .families import omega
+from .sample_risk import order_weights, risk_sample
 
 DEFAULT_STARTS = 20
 DEFAULT_ITERATIONS = 2000
@@ -89,49 +90,34 @@ def portfolio_risk(returns, weights, family, tau, mode="normalized"):
 
 
 def project_simplex(v):
-    """Euclidean projection onto the probability simplex (sort-threshold)."""
+    """Euclidean projection onto the probability simplex (sort-threshold).
+
+    A vector is projected as one point; a d x S matrix is projected column
+    by column, each column exactly as it would be on its own.
+    """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    ranks = np.arange(1, v.size + 1)
-    support = np.flatnonzero(u - cumulative / ranks > 0.0)[-1]
-    theta = cumulative[support] / (support + 1.0)
+    u = np.sort(v, axis=0)[::-1]
+    cumulative = np.cumsum(u, axis=0) - 1.0
+    ranks = np.arange(1, u.shape[0] + 1).reshape((-1,) + (1,) * (v.ndim - 1))
+    positive = u - cumulative / ranks > 0.0
+    support = u.shape[0] - 1 - np.argmax(positive[::-1], axis=0)
+    theta = (np.take_along_axis(cumulative, support[np.newaxis], axis=0)[0]
+             / (support + 1.0))
     return np.maximum(v - theta, 0.0)
 
 
-def _order_weights(family, tau, n, mode):
-    """Weight of each ascending order statistic in the sample estimator."""
-    t = _tau(tau)
-    if family.kind == "qr-dirac":
-        w = np.zeros(n)
-        position = t * (n + 1)
-        if position <= 1.0:
-            w[0] = 1.0
-        elif position >= n:
-            w[-1] = 1.0
-        else:
-            k = int(math.floor(position))
-            w[k - 1] = 1.0 - (position - k)
-            w[k] = position - k
-        return w
-    w = j_value(family, t, np.arange(1, n + 1) / (n + 1.0))
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DegenerateWeights(
-            f"estimator weights sum to {total}; too few days for this tau")
-    return w / total if mode == "normalized" else w / n
-
-
-def _tie_averaged_rows(series, order, w):
-    """Per-row estimator weights, averaged over blocks of tied values."""
-    sorted_vals = series[order]
-    changes = np.diff(sorted_vals) != 0.0
+def _tie_averaged_rows(ordered, w):
+    """Estimator weights for each row of `ordered` (rows sorted ascending),
+    averaged over every block of tied values, so any sorting permutation of
+    a row gives the same day weights."""
+    changes = np.ones(ordered.shape, dtype=bool)
+    changes[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     if changes.all():
-        return w
-    block_starts = np.concatenate(([0], np.flatnonzero(changes) + 1))
-    sums = np.add.reduceat(w, block_starts)
-    counts = np.diff(np.concatenate((block_starts, [w.size])))
-    return np.repeat(sums / counts, counts)
+        return np.broadcast_to(w, ordered.shape)
+    # number the blocks of all rows in one sequence: each row opens a block
+    block = np.cumsum(changes.ravel()) - 1
+    sums = np.bincount(block, weights=np.tile(w, ordered.shape[0]))
+    return (sums / np.bincount(block))[block].reshape(ordered.shape)
 
 
 def optimize_weights(returns, family, tau, starts=DEFAULT_STARTS,
@@ -141,9 +127,14 @@ def optimize_weights(returns, family, tau, starts=DEFAULT_STARTS,
 
     Runs from every vertex plus seeded Dirichlet draws (`starts` total, or
     d if larger), takes diminishing steps sqrt(2/(t+1)) along the normalized
-    subgradient, and keeps the best iterate ever visited. The winner is the
-    lexicographically first (objective, start index) pair, so reruns with
-    the same seed reproduce the same weights.
+    subgradient, and keeps the best iterate ever visited. The starts advance
+    together as the columns of one d x S weight matrix: each iteration sorts
+    every start's return series once, and that sort serves both the
+    objective and the next subgradient. A start whose subgradient vanishes
+    stops there while the others go on. The winner is the lexicographically
+    first (objective, start index) pair, so reruns with the same seed
+    reproduce the same weights. `diagnostics` records each start's initial
+    objective and the iteration at which it found its best iterate.
     """
     d = returns.d
     sign = omega(tau)
@@ -154,60 +145,67 @@ def optimize_weights(returns, family, tau, starts=DEFAULT_STARTS,
     if d == 1:
         best = PortfolioWeights(np.ones(1))
         best.risk = portfolio_risk(returns, best, family, tau, mode=mode)
-        best.diagnostics = {"starts": 1, "improved": False,
-                            "start_objectives": [best.risk]}
+        best.diagnostics = {"starts": 1, "improved": False, "best_start": 0,
+                            "start_objectives": [best.risk],
+                            "best_iteration": [0]}
         return best
 
     R = returns.R
     n = returns.days
-    w = _order_weights(family, tau, n, mode)
+    w, divisor = order_weights(family, tau, n, mode)
+    w = w / divisor
 
-    def objective(alpha):
-        series = R @ alpha
-        order = np.argsort(series, kind="stable")
-        return sign * float(series[order] @ w)
-
-    def subgradient(alpha):
-        series = R @ alpha
-        order = np.argsort(series, kind="stable")
-        rows = _tie_averaged_rows(series, order, w)
-        return sign * (rows @ R[order])
+    def sorted_series(alpha):
+        """Objectives of the columns of alpha, their return series sorted
+        ascending, one start per row, and each sorted entry's flat position
+        in the start-by-day layout."""
+        series = alpha.T @ R.T
+        at = (np.argsort(series, axis=1)
+              + n * np.arange(series.shape[0])[:, np.newaxis])
+        ordered = series.ravel()[at]
+        return sign * (ordered @ w), at, ordered
 
     rng = np.random.default_rng(seed)
     points = [np.eye(d)[k] for k in range(d)]
     while len(points) < max(starts, d):
         points.append(rng.dirichlet(np.ones(d)))
 
-    start_objectives = []
-    best_alpha, best_value, best_start = None, math.inf, -1
-    improved = False
-    for index, start in enumerate(points):
-        alpha = project_simplex(start)
-        value = objective(alpha)
-        start_objectives.append(value)
-        run_alpha, run_value = alpha, value
-        for t in range(iterations):
-            g = subgradient(alpha)
-            norm = float(np.linalg.norm(g))
-            if norm == 0.0:
+    alpha = project_simplex(np.column_stack(points))
+    values, at, ordered = sorted_series(alpha)
+    start_objectives = values.copy()
+    best_alpha, best_values = alpha.copy(), values.copy()
+    best_iteration = np.zeros(len(points), dtype=int)
+    live = np.arange(len(points))
+    for t in range(iterations):
+        # back to day order, so the sum cannot depend on how ties were sorted
+        day_rows = np.empty(ordered.size)
+        day_rows[at] = _tie_averaged_rows(ordered, w)
+        g = sign * (day_rows.reshape(ordered.shape) @ R)
+        norm = np.linalg.norm(g, axis=1)
+        moving = norm != 0.0
+        if not moving.all():
+            live, g, norm, alpha = (live[moving], g[moving], norm[moving],
+                                    alpha[:, moving])
+            if live.size == 0:
                 break
-            alpha = project_simplex(alpha - math.sqrt(2.0 / (t + 1.0))
-                                    * g / norm)
-            value = objective(alpha)
-            if value < run_value:
-                run_alpha, run_value = alpha, value
-        if run_value < start_objectives[-1]:
-            improved = True
-        if best_alpha is None or (run_value, index) < (best_value, best_start):
-            best_alpha, best_value, best_start = run_alpha, run_value, index
+        alpha = project_simplex(alpha - (math.sqrt(2.0 / (t + 1.0)) * g
+                                         / norm[:, np.newaxis]).T)
+        values, at, ordered = sorted_series(alpha)
+        better = values < best_values[live]
+        improved_starts = live[better]
+        best_alpha[:, improved_starts] = alpha[:, better]
+        best_values[improved_starts] = values[better]
+        best_iteration[improved_starts] = t + 1
 
-    out = PortfolioWeights(best_alpha)
+    best_start = int(np.argmin(best_values))
+    out = PortfolioWeights(best_alpha[:, best_start])
     out.risk = portfolio_risk(returns, out, family, tau, mode=mode)
     out.diagnostics = {
         "starts": len(points),
-        "improved": improved,
+        "improved": bool(np.any(best_values < start_objectives)),
         "best_start": best_start,
-        "start_objectives": start_objectives,
+        "start_objectives": start_objectives.tolist(),
+        "best_iteration": best_iteration.tolist(),
     }
     return out
 

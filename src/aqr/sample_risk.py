@@ -28,6 +28,37 @@ def _as_sample(values):
     return arr
 
 
+def order_weights(family, tau, n, mode):
+    """Weights of the n ascending order statistics, and their divisor.
+
+    The estimator is (sorted sample @ weights) / divisor. A density family
+    weights the i-th order statistic by j_value at i/(n+1); the divisor is n
+    in raw mode and the summed weights in normalized mode. The Dirac family
+    puts the Weibull interpolation of the quantile at tau(n+1) on the two
+    neighbouring order statistics, with divisor 1.
+    """
+    t = _tau(tau)
+    if family.kind == "qr-dirac":
+        w = np.zeros(n)
+        position = t * (n + 1)
+        if position <= 1.0:
+            w[0] = 1.0
+        elif position >= n:
+            w[-1] = 1.0
+        else:
+            k = int(position)
+            w[k - 1] = 1.0 - (position - k)
+            w[k] = position - k
+        return w, 1.0
+    w = j_value(family, t, np.arange(1, n + 1) / (n + 1))
+    total = float(w.sum())
+    if total <= 0.0:
+        raise DegenerateWeights(
+            f"all plotting positions fall outside the weight support "
+            f"(n={n}, tau={t}); increase n or move tau inward")
+    return w, (n if mode == "raw" else total)
+
+
 def aqr_sample(values, family, tau, mode="normalized"):
     """Weighted average of order statistics at plotting positions i/(n+1)."""
     if mode not in ("raw", "normalized"):
@@ -37,17 +68,8 @@ def aqr_sample(values, family, tau, mode="normalized"):
     if family.kind == "qr-dirac":
         # empirical quantile interpolated at the same plotting positions
         return float(np.quantile(arr, t, method="weibull"))
-    n = arr.size
-    ys = np.sort(arr)
-    w = j_value(family, t, np.arange(1, n + 1) / (n + 1))
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DegenerateWeights(
-            f"all plotting positions fall outside the weight support "
-            f"(n={n}, tau={t}); increase n or move tau inward")
-    if mode == "raw":
-        return float(ys @ w) / n
-    return float(ys @ w) / total
+    w, divisor = order_weights(family, t, arr.size, mode)
+    return float(np.sort(arr) @ w) / divisor
 
 
 def risk_sample(values, family, tau, mode="normalized"):

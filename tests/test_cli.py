@@ -191,14 +191,23 @@ def test_portfolio_cli(tmp_path):
     bpath = tmp_path / "bench.csv"
     bpath.write_text("bench\n" + "\n".join(str(float(v)) for v in bench) + "\n")
     cfg = write_json(tmp_path / "cfg.json", {"starts": 3, "iterations": 200})
-    assert main(["portfolio", paths["fit"], paths["test"], str(bpath),
-                 "--config", cfg, "--out", str(tmp_path)]) == 0
-    out = json.loads((tmp_path / "portfolio.json").read_text())
+    argv = ["portfolio", paths["fit"], paths["test"], str(bpath),
+            "--config", cfg, "--out", str(tmp_path)]
+    names = ("portfolio.json", "portfolio_run.json")
+    assert main(argv) == 0
+    first = [(tmp_path / name).read_bytes() for name in names]
+    out = json.loads(first[0])
     assert sorted(out) == ["PD", "SR", "alpha", "risk"]
     assert sum(out["alpha"].values()) == pytest.approx(1.0, abs=1e-9)
     assert out["alpha"]["strong"] > 0.95
-    record = json.loads((tmp_path / "portfolio_run.json").read_text())
+    record = json.loads(first[1])
     assert record["report"]["fit_days"] == 60
+    diag = record["report"]["diagnostics"]
+    assert diag["starts"] == 3
+    assert len(diag["start_objectives"]) == len(diag["best_iteration"]) == 3
+    assert 0 <= diag["best_start"] < 3
+    assert main(argv) == 0
+    assert [(tmp_path / name).read_bytes() for name in names] == first
 
 
 def test_airquality_cli(tmp_path):

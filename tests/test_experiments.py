@@ -335,7 +335,8 @@ def test_run_portfolio_report_shape():
     out = run_portfolio(fit, test, bench, es(), 0.05, starts=3,
                         iterations=200, seed=1)
     assert set(out) >= {"alpha", "risk", "SR", "PD", "family", "tau",
-                        "fit_days", "test_days"}
+                        "fit_days", "test_days", "diagnostics"}
+    assert out["diagnostics"]["starts"] == 3
     assert sorted(out["alpha"]) == ["strong", "weak"]
     assert sum(out["alpha"].values()) == pytest.approx(1.0, abs=1e-9)
     assert out["alpha"]["strong"] > 0.95

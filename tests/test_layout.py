@@ -1,8 +1,11 @@
-"""Source-layout guards: kernel_cde._YSorted is the one owner of the y order.
+"""Source-layout guards: one owner for each decision several modules need.
 
 A kernel CDF read at every observed y needs y sorted and its tie runs found.
 Those decisions live in kernel_cde._YSorted; a module that sorts y on its own
 would drift from it, so these modules may not call the sorting primitives.
+Likewise the sample estimator's order-statistic weights come only from
+sample_risk.order_weights, so the portfolio objective cannot drift from
+risk_sample: portfolio.py may not evaluate the weight density itself.
 """
 
 import ast
@@ -30,4 +33,11 @@ def test_module_takes_its_y_order_from_kernel_cde(module):
     path = Path(aqr.__file__).parent / module
     calls = [f"{module}:{line} {name}" for name, line in _called_names(path)
              if name in FORBIDDEN]
+    assert calls == []
+
+
+def test_portfolio_takes_its_order_weights_from_sample_risk():
+    path = Path(aqr.__file__).parent / "portfolio.py"
+    calls = [f"portfolio.py:{line} {name}"
+             for name, line in _called_names(path) if name == "j_value"]
     assert calls == []

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aqr.errors import DegenerateSeries, DomainError, ShapeMismatch
-from aqr.families import es, extremile, ges, omega, qr_dirac
+from aqr.families import _tau, es, extremile, ges, j_value, omega, qr_dirac
 from aqr.portfolio import (PortfolioWeights, ReturnsMatrix, evaluate,
                            optimize_weights, portfolio_risk, project_simplex)
 from aqr.sample_risk import risk_sample
@@ -85,11 +87,160 @@ def test_project_simplex():
     assert np.allclose(keep, [0.2, 0.5, 0.3], atol=1e-15)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: arrays(
+    float, st.tuples(st.just(d), st.integers(1, 6)),
+    elements=st.one_of(st.floats(-10.0, 10.0),
+                       st.sampled_from([-1.0, 0.0, 0.5, 1.0])))))
+def test_project_simplex_matrix_is_its_columns(v):
+    # the batched optimizer projects all starts as one d x S matrix; each
+    # column must come out exactly as the vector projection would give it
+    out = project_simplex(v)
+    want = np.column_stack([project_simplex(v[:, s])
+                            for s in range(v.shape[1])])
+    assert np.array_equal(out, want)
+    assert out.min() >= 0.0
+    assert np.allclose(out.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+
 def test_optimize_single_asset():
     returns = sample_returns(3, d=1)
     out = optimize_weights(returns, es(), 0.1)
     assert np.array_equal(out.alpha, np.ones(1))
     assert out.risk == portfolio_risk(returns, out, es(), 0.1)
+    assert out.diagnostics == {"starts": 1, "improved": False,
+                               "best_start": 0,
+                               "start_objectives": [out.risk],
+                               "best_iteration": [0]}
+
+
+def _reference_optimize(returns, family, tau, starts, iterations, seed):
+    """The optimizer as one projected-subgradient loop per start, each
+    iterate sorted once for the objective and again for the subgradient.
+    Returns the winning start, its weights, and each start's initial and
+    best objective with the iteration that reached the best."""
+    R = returns.R
+    n, d = R.shape
+    sign = omega(tau)
+    t_ = _tau(tau)
+    if family.kind == "qr-dirac":
+        w = np.zeros(n)
+        position = t_ * (n + 1)
+        k = int(math.floor(position))
+        w[k - 1], w[k] = 1.0 - (position - k), position - k
+    else:
+        w = j_value(family, t_, np.arange(1, n + 1) / (n + 1.0))
+        w = w / w.sum()
+
+    def project(v):
+        u = np.sort(v)[::-1]
+        cumulative = np.cumsum(u) - 1.0
+        support = np.flatnonzero(
+            u - cumulative / np.arange(1, v.size + 1) > 0.0)[-1]
+        return np.maximum(v - cumulative[support] / (support + 1.0), 0.0)
+
+    def objective(alpha):
+        series = R @ alpha
+        return sign * float(series[np.argsort(series, kind="stable")] @ w)
+
+    def subgradient(alpha):
+        series = R @ alpha
+        order = np.argsort(series, kind="stable")
+        changes = np.diff(series[order]) != 0.0
+        rows = w
+        if not changes.all():
+            block_starts = np.concatenate(([0], np.flatnonzero(changes) + 1))
+            counts = np.diff(np.concatenate((block_starts, [n])))
+            rows = np.repeat(np.add.reduceat(w, block_starts) / counts,
+                             counts)
+        return sign * (rows @ R[order])
+
+    rng = np.random.default_rng(seed)
+    points = [np.eye(d)[k] for k in range(d)]
+    while len(points) < max(starts, d):
+        points.append(rng.dirichlet(np.ones(d)))
+    first, best, best_at, alphas = [], [], [], []
+    for start in points:
+        alpha = project(start)
+        value = objective(alpha)
+        first.append(value)
+        run_alpha, run_value, run_at = alpha, value, 0
+        for t in range(iterations):
+            g = subgradient(alpha)
+            norm = float(np.linalg.norm(g))
+            if norm == 0.0:
+                break
+            alpha = project(alpha - math.sqrt(2.0 / (t + 1.0)) * g / norm)
+            value = objective(alpha)
+            if value < run_value:
+                run_alpha, run_value, run_at = alpha, value, t + 1
+        best.append(run_value)
+        best_at.append(run_at)
+        alphas.append(run_alpha)
+    winner = min(range(len(points)), key=lambda i: (best[i], i))
+    return winner, alphas[winner], np.array(first), np.array(best), best_at
+
+
+def _exchangeable_returns(seed):
+    # each day stacked with its swap: the series at equal weights tie in
+    # pairs, so the subgradient must average tied blocks
+    half = np.random.default_rng(seed).normal(0.0, 0.01, (60, 2))
+    return ReturnsMatrix(np.vstack([half, half[:, ::-1]]))
+
+
+def _rounded_returns(seed):
+    # returns on a 0.1 % grid: every vertex series is full of ties
+    rng = np.random.default_rng(seed)
+    return ReturnsMatrix(np.round(rng.normal(0.001, 0.01, (120, 4)), 3))
+
+
+def _stalling_returns():
+    # every column sums to exactly zero in any order, so at the first
+    # vertex (a zero series, one tied block) the subgradient vanishes and
+    # that start stops while the others go on
+    R = np.zeros((40, 3))
+    R[3, 1], R[10, 1] = 0.004, -0.004
+    R[5, 2], R[20, 2] = 0.006, -0.006
+    return ReturnsMatrix(R)
+
+
+@pytest.mark.parametrize("returns, family, tau", [
+    (sample_returns(20, days=120), es(), 0.1),
+    (sample_returns(21, days=150, d=6), extremile(), 0.9),
+    (sample_returns(22, days=100, d=4), qr_dirac(), 0.1),
+    (_exchangeable_returns(23), es(), 0.1),
+    (_exchangeable_returns(24), ges(1.0), 0.9),
+    (_rounded_returns(25), es(), 0.05),
+    (_rounded_returns(26), ges(1.0), 0.1),
+    (_stalling_returns(), es(), 0.1),
+], ids=["gaussian-es", "six-assets-extremile", "qr-dirac",
+        "exchangeable-es", "exchangeable-ges", "rounded-es", "rounded-ges",
+        "stalling-start"])
+def test_batched_starts_match_per_start_loop(returns, family, tau):
+    winner, alpha, first, best, best_at = _reference_optimize(
+        returns, family, tau, starts=6, iterations=25, seed=3)
+    out = optimize_weights(returns, family, tau, starts=6, iterations=25,
+                           seed=3)
+    diag = out.diagnostics
+    assert diag["starts"] == first.size
+    got = np.array(diag["start_objectives"])
+    assert np.all(np.abs(got - first) <= 1e-14 * np.abs(first))
+    want_risk = portfolio_risk(returns, PortfolioWeights(alpha), family, tau)
+    assert abs(out.risk - want_risk) <= 1e-12 * abs(want_risk)
+    # the winner is the first start reaching the least objective; starts
+    # whose best objectives agree to rounding are tied, and matrix products
+    # round in the last bit differently from vector products, so among
+    # tied starts either may come first
+    tied = np.flatnonzero(np.abs(best - best[winner])
+                          <= 1e-12 * abs(best[winner]))
+    if tied.size == 1:
+        assert diag["best_start"] == winner
+        # away from ties the trajectories agree iterate for iterate
+        assert diag["best_iteration"] == best_at
+    else:
+        assert diag["best_start"] in tied
+    assert diag["improved"] == bool(np.any(best < first))
+    assert len(diag["best_iteration"]) == first.size
 
 
 def test_optimize_prefers_dominating_asset():
@@ -205,3 +356,17 @@ def test_weights_serialization():
     w.risk = 0.012
     payload = w.to_json(("AA", "BB"))
     assert payload == {"alpha": {"AA": 0.25, "BB": 0.75}, "risk": 0.012}
+
+
+def test_exact_ties_go_to_the_first_start():
+    # several starts reach the zero series exactly; the first of them wins,
+    # and the first start, whose subgradient vanishes at once, never moves
+    returns = _stalling_returns()
+    best = _reference_optimize(returns, es(), 0.1, starts=6, iterations=25,
+                               seed=3)[3]
+    assert np.count_nonzero(best == 0.0) > 1
+    out = optimize_weights(returns, es(), 0.1, starts=6, iterations=25,
+                           seed=3)
+    assert out.diagnostics["best_start"] == 0
+    assert out.diagnostics["best_iteration"][0] == 0
+    assert out.risk == 0.0
