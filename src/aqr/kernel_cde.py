@@ -14,12 +14,14 @@ every y_j is a cumulative sum along each row, read at the last position of
 each tie run, and memory stays O(block * n). Bandwidth cross-validation, the
 average-estimate table and the single-index pair sums all run on its blocks,
 each with its own per-block arithmetic. A whole curve walks the rows once in
-its y order and keeps each shard's running sum exactly, as the
-non-overlapping partials that math.fsum itself builds (Shewchuk 1997), so
-every level is the real number the masked compensated sum rounds.
+its y order and keeps each shard's running sums exactly, as integer prefix
+sums of the weights scaled by 2^1074, so every level is the real number the
+masked compensated sum rounds.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +29,14 @@ import numpy as np
 from .errors import (DomainError, EmptyGrid, KernelUnderflow, ShapeMismatch)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-# rows per kernel block in cv_bandwidth; a block holds a few block x n arrays
-_CV_BLOCK_ROWS = 128
+# kernel cells (rows x n) per row block in cv_bandwidth, which holds a few
+# such arrays per block: the fastest size measured at n = 500 to 4000
+_CV_BLOCK_CELLS = 1 << 16
 # kernel cells (evaluation rows x n) per row block elsewhere: 128 KiB per
 # float array, which stays in cache and below malloc's default mmap
 # threshold, so temporaries are not page-faulted in afresh on every block
 _BLOCK_CELLS = 1 << 14
+_ULP_SCALE = 1 << 1074
 
 
 def _phi(t):
@@ -234,50 +238,41 @@ def cde_eval(data, h, x0, y0):
     return num / den
 
 
-def _grow(partials, x):
-    """Add x to the exact sum held as non-overlapping partials (math.fsum's
-    algorithm): afterwards the partials still sum exactly to the total."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def cde_curve(data, h, x0):
     """F-hat(. | x0) evaluated at every distinct y, as a StepCDF.
 
-    One pass over the rows in y order grows each shard's exact running sum;
-    at a knot, a level is the compensated sum of the rounded shard sums in
-    ascending label order over the same denominator. Those are the numbers
-    cde_eval's masked sums produce, so the two agree exactly at the knots,
-    and the top level is exactly 1.
+    Every double is an integer multiple of 2^-1074, so each weight scales to
+    a Python int, and one pass over the rows in y order keeps each shard's
+    running sums exactly as integer prefix sums. Dividing such a sum by
+    2^1074 rounds it correctly, as math.fsum rounds the masked sum; at a
+    knot, a level is the compensated sum of those shard sums in ascending
+    label order over the same denominator. Those are the numbers cde_eval's
+    masked sums produce, so the two agree exactly at the knots, and the top
+    level is exactly 1.
     """
     h = _as_bandwidth(h)
     z, _ = _conditioner(data)
     w = _kernel_weights(z, float(x0), h.h)[1]
-    den = reduce_fsum(w, data.shard_slices())
     labels, shard = np.unique(data.shard_of, return_inverse=True)
     ys = _YSorted(data.y, z)
-    ends = (ys.ends + 1).tolist()
-    w, shard = w[ys.order].tolist(), shard[ys.order].tolist()
-    partials = [[] for _ in labels]
-    sums = [0.0] * len(labels)
-    levels = np.empty(ys.knots.size)
-    start = 0
-    for j, end in enumerate(ends):
-        for i in range(start, end):
-            k = shard[i]
-            _grow(partials[k], w[i])
-            sums[k] = math.fsum(partials[k])
-        levels[j] = math.fsum(sums) / den
-        start = end
+    # w = mantissa * 2^(exponent - 1075) for a normal double, and
+    # fraction * 2^-1074 for a subnormal one (biased exponent 0)
+    bits = w[ys.order].view(np.uint64)
+    biased = bits >> np.uint64(52)
+    mantissa = ((bits & np.uint64((1 << 52) - 1))
+                | ((biased > 0) << np.uint64(52)))
+    shift = np.maximum(biased, np.uint64(1)) - np.uint64(1)
+    scaled = list(map(operator.lshift, mantissa.tolist(), shift.tolist()))
+    member = shard[ys.order] == np.arange(labels.size)[:, None]
+    # rows of each shard up to each knot
+    taken = ys.staircase(member)
+    sums = []
+    for k in range(labels.size):
+        part = itertools.compress(scaled, member[k].tolist())
+        prefix = [0.0] + [s / _ULP_SCALE for s in itertools.accumulate(part)]
+        sums.append(np.array(prefix)[taken[k]].tolist())
+    den = math.fsum(s[-1] for s in sums)
+    levels = np.array(list(map(math.fsum, zip(*sums)))) / den
     return StepCDF(knots=ys.knots, levels=levels)
 
 
@@ -330,6 +325,49 @@ def default_bandwidth_grid(values, size=12):
     return [Bandwidth(h) for h in np.geomspace(0.5 * c, 2.0 * c, size)]
 
 
+def _cv_scores(data, beta, grid):
+    """n^2 CV(h) for each grid bandwidth, in grid order; nan where some
+    row's leave-one-out weights vanish."""
+    z, _ = _conditioner(data, beta)
+    ys = _YSorted(data.y, z)
+    count = ys.count
+    # D_i = sum_j c_j I(y_i <= y_j) at each sorted row: no bandwidth in it
+    above = ys.reach(count[None, :])[0]
+    totals = np.zeros(len(grid))
+    size = max(1, _CV_BLOCK_CELLS // data.n)
+    for pos in ys.blocks(np.arange(data.n), size):
+        sq = np.square(ys.diff(ys.order[pos]))
+        # leave one out: a row's own weight is exp(-inf) = 0
+        sq[np.arange(pos.size), pos] = math.inf
+        nearest = sq.min(axis=1)
+        sq -= nearest[:, None]
+        w = np.empty_like(sq)
+        # I(y_i <= y_j) is 0 for runs j < first and 1 for runs j >= last
+        first, last = ys.run[pos[0]], ys.run[pos[-1]]
+        band = (pos[:, None] <= ys.ends[None, first:last]) * count[first:last]
+        tail = count[last:]
+        for g, bw in enumerate(grid):
+            if math.isnan(totals[g]):
+                continue
+            scale = -0.5 / (bw.h * bw.h)
+            # each row's largest weight, _phi(d_i / h) / h
+            if not np.all(np.exp(nearest * scale) / (SQRT_2PI * bw.h) > 0.0):
+                totals[g] = math.nan
+                continue
+            np.multiply(sq, scale, out=w)
+            np.exp(w, out=w)
+            np.cumsum(w, axis=1, out=w)
+            s2 = w[:, -1].copy()
+            # rows tied in y share one column value: read each run once
+            stairs = w[:, ys.ends] if ys.ties else w
+            cross = (np.einsum("ij,ij->i", stairs[:, first:last], band)
+                     + stairs[:, last:] @ tail)
+            power = np.square(stairs, out=stairs) @ count
+            totals[g] += float(np.sum(
+                (power / s2 - 2.0 * cross) / s2 + above[pos]))
+    return totals
+
+
 def cv_bandwidth(data, beta=None, grid=None):
     """Pick the grid bandwidth minimizing the leave-one-out CDE loss.
 
@@ -338,9 +376,24 @@ def cv_bandwidth(data, beta=None, grid=None):
     estimator minimizes. Ties resolve to the smallest h, and a bandwidth
     whose leave-one-out weights vanish for some row is skipped.
 
-    Blocks of rows, taken in y order, read the numerator of every
-    F-hat_{-i}(Y_l) from the _YSorted staircase of their kernel weights, and
-    a run of tied Y_l is scored once, weighted by its length: O(n^2) work per
+    Blocks of rows, taken in y order, read the numerator C_il of every
+    F-hat_{-i}(Y_l) = C_il / s2_i from the _YSorted staircase of their kernel
+    weights, and a run of tied Y_l is scored once, weighted by its length
+    c_l. Each row's loss is read in expanded form,
+    sum_l c_l (C_il / s2_i - I_il)^2 = A_i / s2_i^2 - 2 B_i / s2_i + D_i,
+    with A_i = sum_l c_l C_il^2, B_i = sum_l c_l C_il I_il, D_i =
+    sum_l c_l I_il and I_il = I(Y_i <= Y_l). D_i is free of h. The block's
+    rows are consecutive in y order, so I_il is 0 before the block's first
+    tie run and 1 from its last on: B_i is a sum over that tail plus a band
+    at most a block wide, and no indicator matrix is built.
+
+    F-hat does not change when a row's weights are all scaled alike, so each
+    row's weights are taken over its largest one, from the squared distances
+    less the nearest one, which every bandwidth shares. Then s2_i >= 1, so
+    a C_il^2 underflows only where it is negligible against A_i >= 1, and
+    each bandwidth costs one scaled exp, one cumulative sum and the
+    reductions for A_i and B_i. A row's weights vanish when its largest,
+    _phi(d_i / h) / h at the nearest distance d_i, does. O(n^2) work per
     bandwidth and O(block * n) memory.
     """
     z, _ = _conditioner(data, beta)
@@ -350,38 +403,9 @@ def cv_bandwidth(data, beta=None, grid=None):
     if len(grid) == 0:
         raise EmptyGrid("bandwidth grid is empty")
     grid = sorted(grid, key=lambda b: b.h)
-    ys = _YSorted(data.y, z)
-    totals = np.zeros(len(grid))
-    for rows in ys.blocks(ys.order, _CV_BLOCK_ROWS):
-        diff = ys.diff(rows)
-        ind = ys.indicator(rows)
-        own = (np.arange(rows.size), ys.rank[rows])
-        w = np.empty_like(diff)
-        for g, bw in enumerate(grid):
-            if math.isnan(totals[g]):
-                continue
-            # _phi(diff / h) / h, computed in place: the same weights
-            np.divide(diff, bw.h, out=w)
-            np.multiply(w, w, out=w)
-            w *= -0.5
-            np.exp(w, out=w)
-            w /= SQRT_2PI
-            w /= bw.h
-            w[own] = 0.0
-            np.cumsum(w, axis=1, out=w)
-            s2 = w[:, -1:].copy()
-            if not np.all(s2 > 0.0):
-                totals[g] = math.nan
-                continue
-            # rows tied in y share one column value: read each run once
-            err = w[:, ys.ends] if ys.ties else w
-            err /= s2
-            err -= ind
-            np.square(err, out=err)
-            totals[g] += float(np.sum(err @ ys.count))
     best = None
     best_score = math.inf
-    for bw, score in zip(grid, totals.tolist()):
+    for bw, score in zip(grid, _cv_scores(data, beta, grid).tolist()):
         if math.isfinite(score) and score < best_score:
             best = bw
             best_score = score

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from aqr.errors import (DomainError, EmptyGrid, KernelUnderflow,
                         ShapeMismatch)
-from aqr.kernel_cde import (Bandwidth, Dataset, StepCDF, cde_curve, cde_eval,
-                            cv_bandwidth, default_bandwidth_grid,
-                            index_cde_eval, index_cde_grad, rule_bandwidth)
+from aqr.kernel_cde import (_CV_BLOCK_CELLS, Bandwidth, Dataset, StepCDF,
+                            _cv_scores, cde_curve, cde_eval, cv_bandwidth,
+                            default_bandwidth_grid, index_cde_eval,
+                            index_cde_grad, rule_bandwidth)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -117,6 +119,8 @@ def test_kernel_underflow():
     data = Dataset([1.0, 2.0], [[0.0], [1.0]])
     with pytest.raises(KernelUnderflow):
         cde_eval(data, Bandwidth(0.01), 1e9, 1.0)
+    with pytest.raises(KernelUnderflow):
+        cde_curve(data, Bandwidth(0.01), 1e9)
 
 
 def test_index_p1_equals_raw():
@@ -305,6 +309,48 @@ def test_cde_curve_equals_cde_eval_at_every_knot(case):
     assert curve.levels[-1] == 1.0
 
 
+def test_cde_curve_is_exact_down_to_subnormal_weights():
+    # phi(t) at t from 37 to 38.6 falls from ~1e-298 through the subnormal
+    # range to zero, across shards and tied y
+    x = np.array([38.6, 37.0, 38.5, 37.2, 38.3, 37.5, 38.45, 38.0, 38.55])
+    y = np.array([2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 0.0, 3.0, 1.0])
+    w = np.exp(-0.5 * x * x) / SQRT_2PI
+    assert np.any((w > 0.0) & (w < np.finfo(float).tiny)) and np.any(w == 0.0)
+    for labels in ([0] * 9, [2, 0, 1, 2, 0, 1, 2, 0, 1]):
+        data = Dataset(y, x, shard_of=labels)
+        curve = cde_curve(data, Bandwidth(1.0), 0.0)
+        for knot, level in zip(curve.knots, curve.levels):
+            assert cde_eval(data, Bandwidth(1.0), 0.0, knot) == level
+        assert curve.levels[-1] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 2), st.integers(1, 10),
+       st.floats(-3.0, 1.0), st.floats(0.0, 40.0), st.integers(0, 2**32 - 1))
+def test_cde_curve_equals_cde_eval_across_binades(n, decimals, n_labels,
+                                                  log_h, reach, seed):
+    # weights from h = 1e-3 to 10 at x0 up to 40 bandwidths past the last x
+    # span normal, subnormal and vanished doubles, on 1-10 shards
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    y = np.round(x + rng.normal(size=n), decimals)
+    labels = rng.choice(rng.permutation(20)[:n_labels], size=n)
+    data = Dataset(y, x, shard_of=labels)
+    h = Bandwidth(10.0 ** log_h)
+    x0 = float(x.max() + reach * h.h)
+    try:
+        curve = cde_curve(data, h, x0)
+    except KernelUnderflow:
+        with pytest.raises(KernelUnderflow):
+            cde_eval(data, h, x0, float(y.max()))
+        return
+    assert list(curve.knots) == list(np.unique(y))
+    for knot, level in zip(curve.knots, curve.levels):
+        assert cde_eval(data, h, x0, knot) == level
+    assert np.all(np.diff(curve.levels) >= 0.0)
+    assert curve.levels[-1] == 1.0
+
+
 def dense_cv_scores(data, grid):
     """CV(h) per grid bandwidth from the dense n x n formula fhat = w @ ind;
     inf where some leave-one-out weight sum vanishes."""
@@ -343,3 +389,22 @@ def test_cv_bandwidth_matches_dense_reference(case):
 def test_rule_bandwidth_guard():
     with pytest.raises(DomainError):
         rule_bandwidth(np.ones(10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_sharded_data(), st.sampled_from([1, 7, None]))
+def test_cv_scores_match_dense_reference(case, rows):
+    data, _ = case
+    grid = default_bandwidth_grid(data.X[:, 0])
+    # a bandwidth far below the nearest-neighbour spacing leaves some rows
+    # without leave-one-out weight, so it must be skipped as in the reference
+    grid.append(Bandwidth(1e-3 * grid[0].h))
+    cells = _CV_BLOCK_CELLS if rows is None else rows * data.n
+    with mock.patch("aqr.kernel_cde._CV_BLOCK_CELLS", cells):
+        totals = _cv_scores(data, None, grid)
+    want = dense_cv_scores(data, grid)
+    for got, ref in zip((totals / data.n**2).tolist(), want):
+        if math.isinf(ref):
+            assert math.isnan(got)
+        else:
+            assert got == pytest.approx(ref, rel=1e-12)
