@@ -8,8 +8,8 @@ gradient-sized messages. Prints both errors and the communication bill.
 
 import numpy as np
 
-from aqr import (Dataset, ShardPlan, aae, fit_full, local_init,
-                 normalize_beta, partition, rule_bandwidth, run_distributed)
+from aqr import (Dataset, ShardPlan, aae, fit_pooled, fit_sharded,
+                 partition)
 
 rng = np.random.default_rng(3)
 
@@ -20,21 +20,15 @@ def main():
     X = rng.normal(2.0, 1.0, size=(n, 2))
     y = (X @ beta0) ** 2 + rng.standard_normal(n)
 
-    init = normalize_beta(np.ones(2))
-    h = rule_bandwidth(X @ init, 0.15)
-    full = fit_full(Dataset(y, X), h, init)
+    full = fit_pooled(Dataset(y, X))
     print(f"pooled fit      beta = {np.round(full.beta, 4).tolist()}  "
           f"aae = {aae(full.beta, beta0):.4f}")
 
-    plan = ShardPlan(K, (n // K,) * K)
+    plan = ShardPlan.even(n, K)
     data = partition(Dataset(y, X), plan, seed=0)
-    h1 = rule_bandwidth(data.X[data.shard_of == 0] @ init, 0.15)
-    pilot = local_init(data, plan, h1)
+    model, comm, pilot, _ = fit_sharded(data, plan)
     print(f"central pilot   beta = {np.round(pilot, 4).tolist()}  "
-          f"aae = {aae(pilot, beta0):.4f}  (n_k = {n // K} points)")
-
-    h_de = rule_bandwidth(data.X @ pilot, 0.15)
-    model, comm = run_distributed(data, plan, None, h_de, h1, pilot)
+          f"aae = {aae(pilot, beta0):.4f}  (n_k = {plan.sizes[0]} points)")
     print(f"after {len(comm.rounds)} Newton round(s) "
           f"beta = {np.round(model.beta, 4).tolist()}  "
           f"aae = {aae(model.beta, beta0):.4f}")

@@ -17,11 +17,11 @@ from .kernel_cde import (Dataset, Bandwidth, StepCDF, cde_eval, cde_curve,
 from .estimator import AqrEstimate, aqr_conditional, aqr_profile, rpad
 from .single_index import (IndexModel, normalize_beta, psis_objective,
                            psis_gradient, psis_hessian, fit_full)
-from .distributed import (ShardPlan, DistFitState, CommReport, partition,
-                          local_init, newton_round, default_rounds,
-                          run_distributed, aae)
+from .distributed import (ShardPlan, CommReport, partition, local_init,
+                          newton_round, default_rounds, run_distributed, aae)
 from .portfolio import (ReturnsMatrix, PortfolioWeights, portfolio_risk,
                         project_simplex, optimize_weights, evaluate)
+from .experiments import INDEX_RATE_EXPONENT, fit_pooled, fit_sharded
 
 __all__ = [
     "errors", "WeightFamily", "TauLevel", "j_value", "g_value", "omega",
@@ -37,8 +37,9 @@ __all__ = [
     "AqrEstimate", "aqr_conditional", "aqr_profile", "rpad",
     "IndexModel", "normalize_beta", "psis_objective", "psis_gradient",
     "psis_hessian", "fit_full",
-    "ShardPlan", "DistFitState", "CommReport", "partition", "local_init",
-    "newton_round", "default_rounds", "run_distributed", "aae",
+    "ShardPlan", "CommReport", "partition", "local_init", "newton_round",
+    "default_rounds", "run_distributed", "aae",
     "ReturnsMatrix", "PortfolioWeights", "portfolio_risk", "project_simplex",
     "optimize_weights", "evaluate",
+    "INDEX_RATE_EXPONENT", "fit_pooled", "fit_sharded",
 ]

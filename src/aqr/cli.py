@@ -23,11 +23,10 @@ from . import __version__
 from . import experiments as ex
 from .errors import AqrError, ParseError
 from .families import WeightFamily
-from .kernel_cde import Dataset, rule_bandwidth
-from .distributed import ShardPlan, local_init, partition, run_distributed
+from .kernel_cde import Dataset
+from .distributed import ShardPlan, partition
 from .portfolio import ReturnsMatrix
 from .sample_risk import aqr_sample, risk_sample
-from .single_index import fit_full, normalize_beta
 
 _TAU_ITEM = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _TAU_LIST = {"type": "array", "items": _TAU_ITEM, "minItems": 1}
@@ -104,6 +103,7 @@ SCHEMAS = {
                               "exclusiveMaximum": 0.5},
         },
         "additionalProperties": False,
+        "not": {"required": ["bandwidth", "rate_exponent"]},
     },
     "dist-fit": {
         "type": "object",
@@ -118,6 +118,7 @@ SCHEMAS = {
                               "exclusiveMaximum": 0.5},
         },
         "additionalProperties": False,
+        "not": {"required": ["K", "sizes"]},
     },
     "risk": {
         "type": "object",
@@ -140,8 +141,9 @@ DEFAULTS = {
     "portfolio": {"family": {"kind": "es"}, "tau": 0.05, "starts": 20,
                   "iterations": 2000, "seed": 0, "mode": "normalized"},
     "airquality": {"taus": list(ex.AIRQ_TAUS), "winter": True},
-    "fit": {"rate_exponent": 0.15},
-    "dist-fit": {"K": 2, "rounds": None, "seed": 0, "rate_exponent": 0.15},
+    "fit": {"rate_exponent": ex.INDEX_RATE_EXPONENT},
+    "dist-fit": {"K": 2, "rounds": None, "seed": 0,
+                 "rate_exponent": ex.INDEX_RATE_EXPONENT},
     "risk": {"family": {"kind": "es"}, "tau": 0.05, "mode": "normalized"},
 }
 
@@ -369,12 +371,8 @@ def _load_xy_csv(path):
 
 def _cmd_fit(args, config):
     header, data = _load_xy_csv(args.data_csv)
-    init = normalize_beta(np.ones(data.p))
-    if "bandwidth" in config:
-        h = config["bandwidth"]
-    else:
-        h = rule_bandwidth(data.X @ init, config["rate_exponent"])
-    model = fit_full(data, h, init)
+    model = ex.fit_pooled(data, config["rate_exponent"],
+                          config.get("bandwidth"))
     report = dict(model.to_json())
     report["covariates"] = header[1:]
     report["response"] = header[0]
@@ -385,22 +383,12 @@ def _cmd_fit(args, config):
 
 def _cmd_dist_fit(args, config):
     header, data = _load_xy_csv(args.data_csv)
-    if "sizes" in config and config["sizes"] is not None:
-        sizes = tuple(config["sizes"])
-    else:
-        base, extra = divmod(data.n, config["K"])
-        sizes = tuple(base + (1 if k < extra else 0)
-                      for k in range(config["K"]))
-    plan = ShardPlan(len(sizes), sizes)
+    sizes = config.get("sizes")
+    plan = (ShardPlan(len(sizes), sizes) if sizes
+            else ShardPlan.even(data.n, config["K"]))
     pdata = partition(data, plan, seed=config["seed"])
-    init = normalize_beta(np.ones(data.p))
-    exponent = config["rate_exponent"]
-    h1 = rule_bandwidth(pdata.X[pdata.shard_of == plan.central] @ init,
-                        exponent)
-    beta0 = local_init(pdata, plan, h1)
-    h = rule_bandwidth(pdata.X @ beta0, exponent)
-    model, comm = run_distributed(pdata, plan, config["rounds"], h, h1,
-                                  beta0)
+    model, comm, _, h1 = ex.fit_sharded(pdata, plan, config["rate_exponent"],
+                                        config["rounds"])
     report = dict(model.to_json())
     report.update({"h1": h1.h, "K": plan.K, "sizes": list(plan.sizes),
                    "rounds": len(comm.rounds), "comm": comm.to_json(),

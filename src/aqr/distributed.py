@@ -1,14 +1,15 @@
 """Simulated K-worker distributed fitting of the single-index direction.
 
-One machine (worker 0) is central: it owns shard M1, fits the pilot that
-callers pass to run_distributed, and is the only writer of the iteration
-state. Each round it broadcasts the current direction, every worker computes
-its shard's partial gradient of the pooled criterion, and the central
-machine reduces the parts in ascending worker order with compensated
-summation, as psis_gradient does, so the distributed gradient matches the
-pooled one bit for bit. The round's Newton step is undamped and Euclidean,
-unlike fit_full's: the Hessian comes from shard M1 alone, with the central
-bandwidth, and the iterate is renormalized.
+One machine (worker 0) is central: it owns shard M1 and fits the pilot that
+callers pass to run_distributed (experiments.fit_sharded owns that recipe).
+Each newton_round maps the current IndexModel to the next: the central
+machine broadcasts the direction, every worker computes its shard's partial
+gradient of the pooled criterion, and the central machine reduces the parts
+in ascending worker order with compensated summation, as psis_gradient
+does, so the distributed gradient matches the pooled one bit for bit. The
+round's Newton step is undamped and Euclidean, unlike fit_full's: the
+Hessian comes from shard M1 alone, with the central bandwidth h1, and the
+iterate is renormalized.
 
 Communication accounting
 ------------------------
@@ -29,12 +30,12 @@ message layer what the sufficient-statistic protocol would send:
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, PlanMismatch, ShapeMismatch
-from .kernel_cde import Bandwidth, Dataset, _as_bandwidth
+from .kernel_cde import Dataset, _as_bandwidth
 from .single_index import (IndexModel, _gradient_parts, _newton_step,
                            _reduce_gradient, fit_full, normalize_beta,
                            psis_hessian)
@@ -56,6 +57,12 @@ class ShardPlan:
         if self.central != 0:
             raise DomainError("worker 0 is the central machine by convention")
 
+    @classmethod
+    def even(cls, n, K):
+        """Even split of n rows: sizes differ by at most one, larger first."""
+        n, K = int(n), int(K)
+        return cls(K, tuple(n // K + (k < n % K) for k in range(K)))
+
     @property
     def n(self):
         return sum(self.sizes)
@@ -73,7 +80,6 @@ class CommReport:
     """Per-round message accounting; only the protocol payload serializes."""
     rounds: list = field(default_factory=list)
     setup_scalars: int = 0
-    setup_messages: int = 0
 
     @property
     def total(self):
@@ -85,24 +91,6 @@ class CommReport:
                        for r in self.rounds],
             "total": self.total,
         }
-
-
-@dataclass
-class DistFitState:
-    beta_q: np.ndarray
-    q: int
-    h: Bandwidth
-    h1: Bandwidth
-    comm: CommReport
-
-    def __post_init__(self):
-        self.beta_q = np.asarray(self.beta_q, dtype=float)
-        self.h = _as_bandwidth(self.h)
-        self.h1 = _as_bandwidth(self.h1)
-        if abs(float(np.linalg.norm(self.beta_q)) - 1.0) > 1e-12:
-            raise DomainError("beta_q must have unit norm")
-        if not self.beta_q[0] > 0.0:
-            raise DomainError("first component of beta_q must be positive")
 
 
 def partition(data, plan, seed):
@@ -148,15 +136,16 @@ def _round_comm(plan, n, p):
     return RoundComm(scalars, messages, sstat)
 
 
-def newton_round(data, plan, state):
-    """One synchronous round: broadcast, gradient exchange, central update."""
+def newton_round(data, plan, model, h1, comm):
+    """One round from `model`: gradient exchange under model.h, central
+    Newton update under `h1`; appends the round's tally to `comm`."""
     _check_partition(data, plan)
-    parts = _gradient_parts(data, state.beta_q, state.h)
+    parts = _gradient_parts(data, model.beta, model.h)
     grad = _reduce_gradient(parts, data.n, data.p)
-    hess = psis_hessian(_central_shard(data, plan), state.beta_q, state.h1)
-    beta = normalize_beta(state.beta_q - _newton_step(hess, grad))
-    state.comm.rounds.append(_round_comm(plan, data.n, data.p))
-    return replace(state, beta_q=beta, q=state.q + 1)
+    hess = psis_hessian(_central_shard(data, plan), model.beta, h1)
+    beta = normalize_beta(model.beta - _newton_step(hess, grad))
+    comm.rounds.append(_round_comm(plan, data.n, data.p))
+    return IndexModel(beta, model.h)
 
 
 def default_rounds(n, n1, h1):
@@ -174,23 +163,21 @@ def run_distributed(data, plan, rounds, h, h1, beta0):
     """`rounds` Newton rounds from the caller's pilot direction `beta0`.
 
     Pass rounds=None to use default_rounds on (n, n1, h1). Returns the fitted
-    IndexModel under the global bandwidth and the communication report.
+    IndexModel under the global bandwidth and the communication report; a
+    pilot off the unit sphere or with first entry <= 0 raises DomainError.
     """
     _check_partition(data, plan)
-    h = _as_bandwidth(h)
     h1 = _as_bandwidth(h1)
     if rounds is None:
         rounds = default_rounds(data.n, plan.sizes[plan.central], h1.h)
     rounds = int(rounds)
     if rounds < 1:
         raise DomainError("need at least one round")
-    comm = CommReport()
-    comm.setup_scalars = (plan.K - 1) * data.n
-    comm.setup_messages = plan.K * (plan.K - 1)
-    state = DistFitState(beta0, 0, h, h1, comm)
+    comm = CommReport(setup_scalars=(plan.K - 1) * data.n)
+    model = IndexModel(beta0, h)
     for _ in range(rounds):
-        state = newton_round(data, plan, state)
-    return IndexModel(state.beta_q, h), state.comm
+        model = newton_round(data, plan, model, h1, comm)
+    return model, comm
 
 
 def aae(beta_hat, beta0):

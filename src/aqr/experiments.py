@@ -11,8 +11,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .distributed import (ShardPlan, aae, default_rounds, local_init,
-                          partition, run_distributed)
+from .distributed import (ShardPlan, aae, local_init, partition,
+                          run_distributed)
 from .errors import DomainError, ParseError
 from .estimator import aqr_conditional, rpad
 from .families import (WeightFamily, _tau, es, exp_spectral, extremile,
@@ -294,7 +294,34 @@ def run_sim1(master_seed=1, reps=100, n=300, taus=(0.05, 0.1, 0.9, 0.95),
 
 
 # ---------------------------------------------------------------------------
-# simulation study 2: index model, pooled fit against the sharded protocol
+# index model: the pooled and sharded fits (one recipe for sim2, the
+# air-quality study and the CLI) and simulation study 2
+
+INDEX_RATE_EXPONENT = 0.15
+
+
+def fit_pooled(data, rate_exponent=INDEX_RATE_EXPONENT, bandwidth=None):
+    """Pooled index fit from the all-ones direction, at `bandwidth` or, when
+    that is None, at the rule bandwidth of the start index."""
+    init = normalize_beta(np.ones(data.p))
+    if bandwidth is None:
+        bandwidth = rule_bandwidth(data.X @ init, rate_exponent)
+    return fit_full(data, bandwidth, init)
+
+
+def fit_sharded(data, plan, rate_exponent=INDEX_RATE_EXPONENT, rounds=None):
+    """Distributed index fit on shard-labelled `data`: h1 is the central
+    shard's rule bandwidth at the all-ones direction, the pilot its fit under
+    h1, h the rule bandwidth at the pilot index; then run_distributed.
+    Returns (model, comm, pilot, h1)."""
+    init = normalize_beta(np.ones(data.p))
+    central = data.X[data.shard_of == plan.central]
+    h1 = rule_bandwidth(central @ init, rate_exponent)
+    pilot = local_init(data, plan, h1)
+    h = rule_bandwidth(data.X @ pilot, rate_exponent)
+    model, comm = run_distributed(data, plan, rounds, h, h1, pilot)
+    return model, comm, pilot, h1
+
 
 SIM2_BETA0 = np.array([1.0, 2.0]) / math.sqrt(5.0)
 SIM2_X0 = np.array([2.0, 2.0])
@@ -304,11 +331,6 @@ def _sim2_draw(rng, n):
     X = rng.normal(2.0, 1.0, size=(n, 2))
     eps = rng.standard_normal(n)
     return (X @ SIM2_BETA0) ** 2 + eps, X
-
-
-def _even_sizes(n, K):
-    base, extra = divmod(int(n), int(K))
-    return tuple(base + (1 if k < extra else 0) for k in range(int(K)))
 
 
 def _index_estimates(y, X, beta, taus):
@@ -327,28 +349,18 @@ def _sim2_rep(args):
     rng = np.random.default_rng(_rep_seed(master, 0, rep))
     y, X = _sim2_draw(rng, n)
     data = Dataset(y, X)
-    init = normalize_beta(np.ones(2))
-
-    h_all = rule_bandwidth(X @ init, 0.15)
-    model_all = fit_full(data, h_all, init)
-
-    plan = ShardPlan(K, _even_sizes(n, K))
+    model_all = fit_pooled(data)
+    plan = ShardPlan.even(n, K)
     pdata = partition(data, plan, seed=_rep_seed(master, 1, rep))
-    central = pdata.X[pdata.shard_of == plan.central]
-    h1 = rule_bandwidth(central @ init, 0.15)
-    beta0 = local_init(pdata, plan, h1)
-    h_de = rule_bandwidth(pdata.X @ beta0, 0.15)
-    model_de, comm = run_distributed(pdata, plan, None, h_de, h1, beta0)
-
-    beta_de = np.asarray(model_de.beta, dtype=float)
+    model_de, comm, beta0, _ = fit_sharded(pdata, plan)
     return {
         "aae_all": aae(model_all.beta, SIM2_BETA0),
-        "aae_de": aae(beta_de, SIM2_BETA0),
+        "aae_de": aae(model_de.beta, SIM2_BETA0),
         "aae_pilot": aae(beta0, SIM2_BETA0),
         "rounds": len(comm.rounds),
         "scalars": comm.total,
         "est_all": _index_estimates(y, X, model_all.beta, taus),
-        "est_de": _index_estimates(y, X, beta_de, taus),
+        "est_de": _index_estimates(y, X, model_de.beta, taus),
     }
 
 
@@ -404,17 +416,11 @@ def k1_newton_gap(master_seed=1, n=200, rounds=None):
     Newton path replayed directly with the pooled-data derivatives."""
     rng = np.random.default_rng(_rep_seed(master_seed, 2, 0))
     y, X = _sim2_draw(rng, n)
-    data = partition(Dataset(y, X), ShardPlan(1, (n,)), seed=0)
-    init = normalize_beta(np.ones(2))
-    h1 = rule_bandwidth(X @ init, 0.15)
-    beta = fit_full(Dataset(y, X), h1, init).beta
-    h = rule_bandwidth(X @ beta, 0.15)
-    if rounds is None:
-        rounds = default_rounds(n, n, h1.h)
-    model, _ = run_distributed(data, ShardPlan(1, (n,)), rounds, h, h1, beta)
-    manual = beta
-    for _ in range(int(rounds)):
-        grad = psis_gradient(data, manual, h)
+    plan = ShardPlan(1, (n,))
+    data = partition(Dataset(y, X), plan, seed=0)
+    model, comm, manual, h1 = fit_sharded(data, plan, rounds=rounds)
+    for _ in comm.rounds:
+        grad = psis_gradient(data, manual, model.h)
         hess = psis_hessian(data, manual, h1)
         manual = normalize_beta(manual - _newton_step(hess, grad))
     return float(np.max(np.abs(np.asarray(model.beta) - manual)))
@@ -561,18 +567,10 @@ def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS, seed=0):
     X = (X - X.mean(axis=0)) / scale
     taus = tuple(float(t) for t in taus)
 
-    init = normalize_beta(np.ones(X.shape[1]))
-    h_full = rule_bandwidth(X @ init, 0.15)
-    model_full = fit_full(Dataset(y, X), h_full, init)
-
-    shard_of = np.asarray(shard_of)
+    model_full = fit_pooled(Dataset(y, X))
     sizes = np.bincount(shard_of)
-    plan = ShardPlan(sizes.size, tuple(int(s) for s in sizes))
-    data = Dataset(y, X, shard_of)
-    h1 = rule_bandwidth(X[shard_of == plan.central] @ init, 0.15)
-    beta0 = local_init(data, plan, h1)
-    h_de = rule_bandwidth(X @ beta0, 0.15)
-    model_de, comm = run_distributed(data, plan, None, h_de, h1, beta0)
+    plan = ShardPlan(sizes.size, sizes)
+    model_de, comm, _, h1 = fit_sharded(Dataset(y, X, shard_of), plan)
 
     fams = [("qr", qr_dirac())] + study_families()
     tables = {}
@@ -597,8 +595,8 @@ def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS, seed=0):
         "assumption": AIRQ_ASSUMPTION,
         "beta_full": np.asarray(model_full.beta, dtype=float).tolist(),
         "beta_distributed": np.asarray(model_de.beta, dtype=float).tolist(),
-        "h_full": h_full.h,
-        "h_distributed": h_de.h,
+        "h_full": model_full.h.h,
+        "h_distributed": model_de.h.h,
         "h_central": h1.h,
         "rounds": len(comm.rounds),
         "full": tables["full"],

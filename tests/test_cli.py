@@ -153,6 +153,19 @@ def test_fit_fixed_bandwidth(tmp_path):
     assert fit["h"] == 0.8
 
 
+@pytest.mark.parametrize("command, config", [
+    ("dist-fit", {"K": 4, "sizes": [50, 50]}),
+    ("fit", {"bandwidth": 0.4, "rate_exponent": 0.3}),
+])
+def test_conflicting_config_keys_exit_2(tmp_path, capsys, command, config):
+    data = write_xy_csv(tmp_path / "xy.csv")
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert main([command, data, "--config", cfg,
+                 "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_run.json"))
+
+
 def test_fit_parse_error_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("y,x1\n1.0,2.0\n3.0,oops\n")

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from aqr.distributed import (CommReport, DistFitState, ShardPlan, aae,
-                             default_rounds, local_init, newton_round,
-                             partition, run_distributed)
+from aqr.distributed import (CommReport, ShardPlan, aae, default_rounds,
+                             local_init, newton_round, partition,
+                             run_distributed)
 from aqr.errors import DomainError, IllConditioned, PlanMismatch, ShapeMismatch
+from aqr.experiments import fit_sharded
 from aqr.kernel_cde import SQRT_2PI, Dataset, rule_bandwidth
-from aqr.single_index import (_gradient_parts, _newton_step,
+from aqr.single_index import (IndexModel, _gradient_parts, _newton_step,
                               _objective_parts, fit_full, normalize_beta,
                               psis_gradient, psis_hessian, psis_objective)
 
@@ -45,6 +48,21 @@ def test_shard_plan_validation():
     with pytest.raises(DomainError):
         ShardPlan(2, (3, 3), central=1)
     assert even_plan(500, 10).n == 500
+
+
+@given(st.integers(min_value=2, max_value=10_000), st.integers(1, 200))
+def test_even_plan_splits_rows_evenly_larger_first(n, k):
+    if n < 2 * k:
+        with pytest.raises(DomainError):
+            ShardPlan.even(n, k)
+        return
+    plan = ShardPlan.even(n, k)
+    assert plan.K == k and plan.n == n
+    assert max(plan.sizes) - min(plan.sizes) <= 1
+    assert list(plan.sizes) == sorted(plan.sizes, reverse=True)
+    base, extra = divmod(n, k)
+    assert plan.sizes == tuple(base + (1 if j < extra else 0)
+                               for j in range(k))
 
 
 def test_partition_is_deterministic_and_exact():
@@ -213,13 +231,15 @@ def test_newton_round_k1_is_undamped_full_step():
     data = partition(quadratic_data(8, n=150), ShardPlan(1, (150,)), seed=1)
     h = rule_bandwidth(data.X @ normalize_beta(np.ones(2)), 0.15)
     beta = normalize_beta(np.array([1.0, 0.8]))
-    state = DistFitState(beta, 0, h, h, CommReport())
-    out = newton_round(data, ShardPlan(1, (150,)), state)
+    comm = CommReport()
+    out = newton_round(data, ShardPlan(1, (150,)), IndexModel(beta, h), h,
+                       comm)
     grad = psis_gradient(data, beta, h)
     hess = psis_hessian(Dataset(data.y, data.X), beta, h)
     want = normalize_beta(beta - _newton_step(hess, grad))
-    assert np.array_equal(out.beta_q, want)
-    assert out.q == 1
+    assert np.array_equal(out.beta, want)
+    assert out.h == h
+    assert len(comm.rounds) == 1
 
 
 def test_newton_round_usually_improves_pilot():
@@ -231,10 +251,10 @@ def test_newton_round_usually_improves_pilot():
     after = []
     for seed in range(30):
         data, beta0_hat, h, h1 = pilot_setup(seed)
-        state = DistFitState(beta0_hat, 0, h, h1, CommReport())
-        out = newton_round(data, even_plan(500, 10), state)
+        out = newton_round(data, even_plan(500, 10),
+                           IndexModel(beta0_hat, h), h1, CommReport())
         before.append(aae(beta0_hat, BETA0))
-        after.append(aae(out.beta_q, BETA0))
+        after.append(aae(out.beta, BETA0))
         wins += after[-1] < before[-1]
     assert wins >= 20
     assert np.mean(after) < 0.75 * np.mean(before)
@@ -247,6 +267,18 @@ def test_run_distributed_tracks_full_fit():
     full = fit_full(Dataset(data.y, data.X), h, normalize_beta(np.ones(2)))
     assert np.linalg.norm(model.beta - full.beta) < 0.05
     assert len(comm.rounds) == default_rounds(500, 50, h1.h)
+
+
+def test_fit_sharded_is_the_pilot_setup_recipe():
+    data, beta0_hat, h, h1 = pilot_setup(4)
+    want, want_comm = run_distributed(data, even_plan(500, 10), None, h, h1,
+                                      beta0_hat)
+    model, comm, pilot, got_h1 = fit_sharded(data, ShardPlan.even(500, 10))
+    assert np.array_equal(model.beta, want.beta)
+    assert np.array_equal(pilot, beta0_hat)
+    assert np.array_equal(got_h1.h, h1.h)
+    assert model.h == h
+    assert comm.to_json() == want_comm.to_json()
 
 
 def test_run_distributed_k1_reproduces_manual_rounds():
@@ -292,8 +324,8 @@ def test_run_distributed_rejects_unpartitioned_data():
         run_distributed(data, even_plan(100, 4), 1, 0.5, 0.5, BETA0)
 
 
-def test_state_validates_direction():
-    with pytest.raises(DomainError):
-        DistFitState(np.array([1.0, 1.0]), 0, 0.5, 0.5, CommReport())
-    with pytest.raises(DomainError):
-        DistFitState(np.array([-1.0, 0.0]), 0, 0.5, 0.5, CommReport())
+def test_run_distributed_validates_pilot_direction():
+    data = partition(quadratic_data(1, n=100), even_plan(100, 4), seed=0)
+    for pilot in (np.array([1.0, 1.0]), np.array([-1.0, 0.0])):
+        with pytest.raises(DomainError):
+            run_distributed(data, even_plan(100, 4), 1, 0.5, 0.5, pilot)

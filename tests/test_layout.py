@@ -5,7 +5,10 @@ Those decisions live in kernel_cde._YSorted; a module that sorts y on its own
 would drift from it, so these modules may not call the sorting primitives.
 Likewise the sample estimator's order-statistic weights come only from
 sample_risk.order_weights, so the portfolio objective cannot drift from
-risk_sample: portfolio.py may not evaluate the weight density itself.
+risk_sample: portfolio.py may not evaluate the weight density itself. And
+the index-fit recipe (start direction, rule bandwidths, pilot, Newton
+rounds) comes only from experiments.fit_pooled and fit_sharded, so the CLI
+fits cannot drift from the studies: cli.py may not call its pieces.
 """
 
 import ast
@@ -40,4 +43,13 @@ def test_portfolio_takes_its_order_weights_from_sample_risk():
     path = Path(aqr.__file__).parent / "portfolio.py"
     calls = [f"portfolio.py:{line} {name}"
              for name, line in _called_names(path) if name == "j_value"]
+    assert calls == []
+
+
+def test_cli_takes_its_index_fits_from_experiments():
+    path = Path(aqr.__file__).parent / "cli.py"
+    recipe = {"rule_bandwidth", "normalize_beta", "local_init",
+              "run_distributed"}
+    calls = [f"cli.py:{line} {name}" for name, line in _called_names(path)
+             if name in recipe]
     assert calls == []
