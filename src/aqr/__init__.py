@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from . import errors
-from .families import (WeightFamily, TauLevel, j_value, g_value, omega,
-                       validate_c1, es, ges, extremile, ge, tcrm,
-                       exp_spectral, qr_dirac, tabulated)
+from .families import (WeightFamily, j_value, g_value, omega, validate_c1,
+                       es, ges, extremile, ge, tcrm, exp_spectral, qr_dirac,
+                       tabulated)
 from .oracle import (AnalyticDistribution, normal, student_t, exponential,
                      uniform, beta_dist, frechet, point_mass, quantile,
                      population_aqr, frechet_limit_ratio)
@@ -24,9 +24,9 @@ from .portfolio import (ReturnsMatrix, PortfolioWeights, portfolio_risk,
 from .experiments import INDEX_RATE_EXPONENT, fit_pooled, fit_sharded
 
 __all__ = [
-    "errors", "WeightFamily", "TauLevel", "j_value", "g_value", "omega",
-    "validate_c1", "es", "ges", "extremile", "ge", "tcrm", "exp_spectral",
-    "qr_dirac", "tabulated",
+    "errors", "WeightFamily", "j_value", "g_value", "omega", "validate_c1",
+    "es", "ges", "extremile", "ge", "tcrm", "exp_spectral", "qr_dirac",
+    "tabulated",
     "AnalyticDistribution", "normal", "student_t", "exponential", "uniform",
     "beta_dist", "frechet", "point_mass", "quantile", "population_aqr",
     "frechet_limit_ratio",

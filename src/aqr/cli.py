@@ -25,7 +25,7 @@ from .errors import AqrError, ParseError
 from .families import WeightFamily
 from .kernel_cde import Dataset
 from .distributed import ShardPlan, partition
-from .portfolio import ReturnsMatrix
+from .portfolio import DEFAULT_ITERATIONS, DEFAULT_STARTS, ReturnsMatrix
 from .sample_risk import aqr_sample, risk_sample
 
 _TAU_ITEM = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
@@ -133,13 +133,14 @@ SCHEMAS = {
 
 DEFAULTS = {
     "validate": {"violators": []},
-    "compare": {"taus": [round(0.90 + 0.01 * i, 2) for i in range(9)]},
-    "sim1": {"seed": 1, "preset": "desk", "n": 300,
-             "taus": [0.05, 0.1, 0.9, 0.95]},
-    "sim2": {"seed": 1, "preset": "desk", "n": 500, "K": 10,
-             "taus": [0.1, 0.9]},
-    "portfolio": {"family": {"kind": "es"}, "tau": 0.05, "starts": 20,
-                  "iterations": 2000, "seed": 0, "mode": "normalized"},
+    "compare": {"taus": list(ex.COMPARE_TAUS)},
+    "sim1": {"seed": 1, "preset": "desk", "n": ex.SIM1_N,
+             "taus": list(ex.SIM1_TAUS)},
+    "sim2": {"seed": 1, "preset": "desk", "n": ex.SIM2_N, "K": ex.SIM2_K,
+             "taus": list(ex.SIM2_TAUS)},
+    "portfolio": {"family": {"kind": "es"}, "tau": 0.05,
+                  "starts": DEFAULT_STARTS, "iterations": DEFAULT_ITERATIONS,
+                  "seed": 0, "mode": "normalized"},
     "airquality": {"taus": list(ex.AIRQ_TAUS), "winter": True},
     "fit": {"rate_exponent": ex.INDEX_RATE_EXPONENT},
     "dist-fit": {"K": 2, "rounds": None, "seed": 0,
@@ -166,6 +167,9 @@ def _resolve_config(args):
             user = json.load(fh)
         jsonschema.validate(user, SCHEMAS[command])
         config.update(user)
+        if "sizes" in user:
+            # explicit shard sizes fix K; a default K would contradict them
+            del config["K"]
     if command in PRESET_REPS and "reps" not in config:
         config["reps"] = PRESET_REPS[command][config["preset"]]
     if args.seed is not None and "seed" in config:

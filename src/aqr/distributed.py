@@ -1,6 +1,6 @@
 """Simulated K-worker distributed fitting of the single-index direction.
 
-One machine (worker 0) is central: it owns shard M1 and fits the pilot that
+Worker 0 is always central: it owns shard M1 (label 0) and fits the pilot that
 callers pass to run_distributed (experiments.fit_sharded owns that recipe).
 Each newton_round maps the current IndexModel to the next: the central
 machine broadcasts the direction, every worker computes its shard's partial
@@ -46,7 +46,6 @@ class ShardPlan:
     """Worker count and per-worker shard sizes; worker 0 is central."""
     K: int
     sizes: tuple
-    central: int = 0
 
     def __post_init__(self):
         self.sizes = tuple(int(s) for s in self.sizes)
@@ -54,8 +53,6 @@ class ShardPlan:
             raise DomainError("K must match the number of shard sizes")
         if any(s < 2 for s in self.sizes):
             raise DomainError("every shard needs at least two rows")
-        if self.central != 0:
-            raise DomainError("worker 0 is the central machine by convention")
 
     @classmethod
     def even(cls, n, K):
@@ -115,15 +112,15 @@ def _check_partition(data, plan):
             f"{list(plan.sizes)}")
 
 
-def _central_shard(data, plan):
-    idx = np.flatnonzero(data.shard_of == plan.central)
+def _central_shard(data):
+    idx = np.flatnonzero(data.shard_of == 0)
     return Dataset(data.y[idx], data.X[idx])
 
 
 def local_init(data, plan, h1):
     """Pilot direction: the full fit restricted to the central shard."""
     _check_partition(data, plan)
-    sub = _central_shard(data, plan)
+    sub = _central_shard(data)
     init = normalize_beta(np.ones(sub.p))
     return fit_full(sub, h1, init).beta
 
@@ -142,7 +139,7 @@ def newton_round(data, plan, model, h1, comm):
     _check_partition(data, plan)
     parts = _gradient_parts(data, model.beta, model.h)
     grad = _reduce_gradient(parts, data.n, data.p)
-    hess = psis_hessian(_central_shard(data, plan), model.beta, h1)
+    hess = psis_hessian(_central_shard(data), model.beta, h1)
     beta = normalize_beta(model.beta - _newton_step(hess, grad))
     comm.rounds.append(_round_comm(plan, data.n, data.p))
     return IndexModel(beta, model.h)
@@ -169,7 +166,7 @@ def run_distributed(data, plan, rounds, h, h1, beta0):
     _check_partition(data, plan)
     h1 = _as_bandwidth(h1)
     if rounds is None:
-        rounds = default_rounds(data.n, plan.sizes[plan.central], h1.h)
+        rounds = default_rounds(data.n, plan.sizes[0], h1.h)
     rounds = int(rounds)
     if rounds < 1:
         raise DomainError("need at least one round")

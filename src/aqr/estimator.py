@@ -3,6 +3,8 @@
 Because the estimated conditional distribution is a step function, the
 defining pair of y-integrals telescopes into an exact finite sum: the value
 is sum_i knot_i * [G(level_i) - G(level_{i-1})]. No quadrature, no grid.
+_telescope is that reduction for aqr_conditional's one CDF and for
+experiments.average_aqr_values' blocks of CDFs on shared knots alike.
 """
 
 from dataclasses import dataclass
@@ -20,51 +22,42 @@ class AqrEstimate:
     value: float
     tau: float
     family: Any
-    x0: Any
     n_knots: int
     g_mass: float
     mass_deficit: float
 
-    def to_json(self):
-        x0 = self.x0
-        if isinstance(x0, np.ndarray):
-            x0 = x0.tolist()
-        return {
-            "value": self.value, "tau": self.tau,
-            "family": self.family.to_json(), "x0": x0,
-            "n_knots": self.n_knots, "g_mass": self.g_mass,
-            "mass_deficit": self.mass_deficit,
-        }
+
+def _telescope(knots, levels, family, tau):
+    """Telescoped values and G masses of the step CDFs in `levels`.
+
+    Each row along the last axis of `levels` is one CDF's non-decreasing
+    levels at the shared `knots`. The quantile family takes the first knot
+    whose level reaches tau, or the top knot with mass 0 when the CDF never
+    reaches it; every other family weighs each knot by its G increment.
+    """
+    if family.kind == "qr-dirac":
+        i = (levels < tau).sum(axis=-1)
+        return knots[np.minimum(i, knots.size - 1)], (i < knots.size) * 1.0
+    g = g_value(family, tau, levels)
+    return np.diff(g, axis=-1, prepend=0.0) @ knots, g[..., -1]
 
 
-def aqr_conditional(F, family, tau, x0=None):
+def aqr_conditional(F, family, tau):
     """Exact telescoped reduction of the step CDF under the weight family.
 
     A final level below 1 is integrated as-is; the shortfall is recorded in
     the estimate's mass_deficit instead of being silently renormalized.
     """
     t = _tau(tau)
-    knots = F.knots
-    levels = F.levels
-    if family.kind == "qr-dirac":
-        i = int(np.searchsorted(levels, t, side="left"))
-        if i == levels.size:
-            # the CDF never reaches tau; report the top knot with zero mass
-            value, mass = float(knots[-1]), 0.0
-        else:
-            value, mass = float(knots[i]), 1.0
-    else:
-        g = g_value(family, t, levels)
-        value = float(knots @ np.diff(g, prepend=0.0))
-        mass = float(g[-1])
-    return AqrEstimate(value=value, tau=t, family=family, x0=x0,
-                       n_knots=int(knots.size), g_mass=mass,
+    value, mass = _telescope(F.knots, F.levels, family, t)
+    return AqrEstimate(value=float(value), tau=t, family=family,
+                       n_knots=int(F.knots.size), g_mass=float(mass),
                        mass_deficit=F.mass_deficit)
 
 
-def aqr_profile(F, family, taus, x0=None):
+def aqr_profile(F, family, taus):
     """aqr_conditional across a tau grid; non-decreasing for valid families."""
-    return [aqr_conditional(F, family, t, x0=x0) for t in taus]
+    return [aqr_conditional(F, family, t) for t in taus]
 
 
 def rpad(estimate, truth):

@@ -14,10 +14,9 @@ import numpy as np
 from .distributed import (ShardPlan, aae, local_init, partition,
                           run_distributed)
 from .errors import DomainError, ParseError
-from .estimator import aqr_conditional, rpad
-from .families import (WeightFamily, _tau, es, exp_spectral, extremile,
-                       g_value, ge, ges, qr_dirac, tabulated, tcrm,
-                       validate_c1)
+from .estimator import _telescope, aqr_conditional, rpad
+from .families import (WeightFamily, _tau, es, exp_spectral, extremile, ge,
+                       ges, qr_dirac, tabulated, tcrm, validate_c1)
 from .kernel_cde import (Dataset, _YSorted, _as_bandwidth, cde_curve,
                          cv_bandwidth, rule_bandwidth)
 from .oracle import (beta_dist, exponential, frechet_limit_ratio, normal,
@@ -126,6 +125,7 @@ SIX_DISTRIBUTIONS = [
     ("beta23", "weibull", beta_dist(2.0, 3.0)),
 ]
 
+COMPARE_TAUS = tuple(round(0.90 + 0.01 * i, 2) for i in range(9))
 _TAIL_GAMMA = {"t3": 1.0 / 3.0, "t1.2": 1.0 / 1.2}
 
 
@@ -143,14 +143,12 @@ def _limit_ratio(family_label, gamma):
     raise DomainError(f"no tail limit for family {family_label!r}")
 
 
-def compare_rows(taus=None):
+def compare_rows(taus=COMPARE_TAUS):
     """Population value per (distribution, family, tau) plus the quantile.
 
     Heavy-tailed rows also carry the closed-form tail ratio prediction, so
     the table doubles as a convergence diagnostic at high tau.
     """
-    if taus is None:
-        taus = [round(0.90 + 0.01 * i, 2) for i in range(9)]
     rows = []
     for dist_label, domain, dist in SIX_DISTRIBUTIONS:
         gamma = _TAIL_GAMMA.get(dist_label)
@@ -208,7 +206,7 @@ def check_compare_ordering(rows):
     return violations
 
 
-def run_compare(taus=None):
+def run_compare(taus=COMPARE_TAUS):
     rows = compare_rows(taus=taus)
     return {"rows": rows, "violations": check_compare_ordering(rows)}
 
@@ -216,6 +214,8 @@ def run_compare(taus=None):
 # ---------------------------------------------------------------------------
 # simulation study 1: one covariate, kernel CDF at two probe points
 
+SIM1_N = 300
+SIM1_TAUS = (0.05, 0.1, 0.9, 0.95)
 SIM1_ERRORS = [
     ("normal", normal(0.0, 1.0)),
     ("t3", student_t(3.0)),
@@ -260,8 +260,7 @@ def _sim1_rep(args):
     return out
 
 
-def run_sim1(master_seed=1, reps=100, n=300, taus=(0.05, 0.1, 0.9, 0.95),
-             threads=1):
+def run_sim1(master_seed=1, reps=100, n=SIM1_N, taus=SIM1_TAUS, threads=1):
     """Replicated accuracy study for the one-covariate kernel pipeline.
 
     Each replication draws the sine model, picks the bandwidth by
@@ -315,7 +314,7 @@ def fit_sharded(data, plan, rate_exponent=INDEX_RATE_EXPONENT, rounds=None):
     h1, h the rule bandwidth at the pilot index; then run_distributed.
     Returns (model, comm, pilot, h1)."""
     init = normalize_beta(np.ones(data.p))
-    central = data.X[data.shard_of == plan.central]
+    central = data.X[data.shard_of == 0]
     h1 = rule_bandwidth(central @ init, rate_exponent)
     pilot = local_init(data, plan, h1)
     h = rule_bandwidth(data.X @ pilot, rate_exponent)
@@ -323,6 +322,9 @@ def fit_sharded(data, plan, rate_exponent=INDEX_RATE_EXPONENT, rounds=None):
     return model, comm, pilot, h1
 
 
+SIM2_N = 500
+SIM2_K = 10
+SIM2_TAUS = (0.1, 0.9)
 SIM2_BETA0 = np.array([1.0, 2.0]) / math.sqrt(5.0)
 SIM2_X0 = np.array([2.0, 2.0])
 
@@ -364,7 +366,8 @@ def _sim2_rep(args):
     }
 
 
-def run_sim2(master_seed=1, reps=30, n=500, K=10, taus=(0.1, 0.9), threads=1):
+def run_sim2(master_seed=1, reps=30, n=SIM2_N, K=SIM2_K, taus=SIM2_TAUS,
+             threads=1):
     """Replicated pooled-versus-distributed study on the quadratic index model.
 
     Reports mean and sd of the absolute parameter error for both fits, the
@@ -411,14 +414,14 @@ def run_sim2(master_seed=1, reps=30, n=500, K=10, taus=(0.1, 0.9), threads=1):
     return report
 
 
-def k1_newton_gap(master_seed=1, n=200, rounds=None):
+def k1_newton_gap(master_seed=1, n=200):
     """Max gap between the one-machine distributed fit and the identical
     Newton path replayed directly with the pooled-data derivatives."""
     rng = np.random.default_rng(_rep_seed(master_seed, 2, 0))
     y, X = _sim2_draw(rng, n)
     plan = ShardPlan(1, (n,))
     data = partition(Dataset(y, X), plan, seed=0)
-    model, comm, manual, h1 = fit_sharded(data, plan, rounds=rounds)
+    model, comm, manual, h1 = fit_sharded(data, plan)
     for _ in comm.rounds:
         grad = psis_gradient(data, manual, model.h)
         hess = psis_hessian(data, manual, h1)
@@ -429,12 +432,12 @@ def k1_newton_gap(master_seed=1, n=200, rounds=None):
 # ---------------------------------------------------------------------------
 # portfolio run
 
-def run_portfolio(fit_returns, test_returns, bench, family, tau, starts=20,
-                  iterations=2000, seed=0, mode="normalized"):
+def run_portfolio(fit_returns, test_returns, bench, family, tau, **options):
     """Optimize on the fit window, score on the test window; the report
-    carries the optimizer's deterministic diagnostics."""
-    weights = optimize_weights(fit_returns, family, tau, starts=starts,
-                               iterations=iterations, seed=seed, mode=mode)
+    carries the optimizer's deterministic diagnostics. `options` (starts,
+    iterations, seed, mode) go to optimize_weights, which owns their
+    defaults."""
+    weights = optimize_weights(fit_returns, family, tau, **options)
     scores = evaluate(test_returns, weights, bench)
     out = weights.to_json(labels=fit_returns.labels)
     out.update({"SR": scores["SR"], "PD": scores["PD"],
@@ -529,8 +532,9 @@ def average_aqr_values(y, z, h, families, taus):
     O(block * n). Only the weight transform depends on the family and the
     level, and each row's estimate is computed along that row, so each mean
     is the one a single-family, single-level call gives, bit for bit.
-    Returns one list of means (one per level) per family. Matches
-    aqr_conditional row by row up to summation order.
+    Returns one list of means (one per level) per family. A block goes
+    through estimator._telescope as one CDF does in aqr_conditional; rows
+    match it up to the summation order of the block's matrix product.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -543,16 +547,11 @@ def average_aqr_values(y, z, h, families, taus):
         levels /= levels[:, -1:]
         for f, family in enumerate(families):
             for k, t in enumerate(ts):
-                if family.kind == "qr-dirac":
-                    est = ys.knots[np.argmax(levels >= t, axis=1)]
-                else:
-                    g = g_value(family, t, levels)
-                    est = np.diff(g, axis=1, prepend=0.0) @ ys.knots
-                values[f, k, rows] = est
+                values[f, k, rows] = _telescope(ys.knots, levels, family, t)[0]
     return [[float(np.mean(v)) for v in means] for means in values]
 
 
-def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS, seed=0):
+def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS):
     """Index fits (pooled and site-sharded) and the average-estimate table.
 
     Covariates are standardized first. The pooled fit drives the main table;

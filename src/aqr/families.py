@@ -49,24 +49,8 @@ _SCHEDULE_FUNCS = {
 }
 
 
-@dataclass(frozen=True)
-class TauLevel:
-    """A quantile level strictly inside (0,1)."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 < v < 1.0):
-            raise DomainError(f"tau must lie in (0,1), got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-    def __float__(self):
-        return self.value
-
-
 def _tau(tau):
-    """Coerce a TauLevel or plain float to a validated float level."""
+    """Return tau as a float strictly inside (0,1), or raise DomainError."""
     v = float(tau)
     if not (0.0 < v < 1.0):
         raise DomainError(f"tau must lie in (0,1), got {tau!r}")

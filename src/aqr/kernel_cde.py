@@ -96,9 +96,8 @@ class Dataset:
 
 @dataclass
 class Bandwidth:
-    """Kernel bandwidth with the rate exponent it was derived from."""
+    """Kernel bandwidth."""
     h: float
-    rate_exponent: float = 0.2
 
     def __post_init__(self):
         self.h = float(self.h)
@@ -316,7 +315,7 @@ def rule_bandwidth(values, rate_exponent=0.2):
     scale = float(np.std(values))
     if scale <= 0.0:
         raise DomainError("conditioning values are constant; no scale")
-    return Bandwidth(scale * values.size ** (-rate_exponent), rate_exponent)
+    return Bandwidth(scale * values.size ** (-rate_exponent))
 
 
 def default_bandwidth_grid(values, size=12):
@@ -325,10 +324,10 @@ def default_bandwidth_grid(values, size=12):
     return [Bandwidth(h) for h in np.geomspace(0.5 * c, 2.0 * c, size)]
 
 
-def _cv_scores(data, beta, grid):
+def _cv_scores(data, grid):
     """n^2 CV(h) for each grid bandwidth, in grid order; nan where some
     row's leave-one-out weights vanish."""
-    z, _ = _conditioner(data, beta)
+    z, _ = _conditioner(data)
     ys = _YSorted(data.y, z)
     count = ys.count
     # D_i = sum_j c_j I(y_i <= y_j) at each sorted row: no bandwidth in it
@@ -368,7 +367,7 @@ def _cv_scores(data, beta, grid):
     return totals
 
 
-def cv_bandwidth(data, beta=None, grid=None):
+def cv_bandwidth(data, *, grid=None):
     """Pick the grid bandwidth minimizing the leave-one-out CDE loss.
 
     CV(h) = n^-2 sum_i sum_l {I(Y_i <= Y_l) - F-hat_{-i}(Y_l | x_i)}^2,
@@ -396,7 +395,7 @@ def cv_bandwidth(data, beta=None, grid=None):
     _phi(d_i / h) / h at the nearest distance d_i, does. O(n^2) work per
     bandwidth and O(block * n) memory.
     """
-    z, _ = _conditioner(data, beta)
+    z, _ = _conditioner(data)
     if grid is None:
         grid = default_bandwidth_grid(z)
     grid = [_as_bandwidth(h) for h in grid]
@@ -405,7 +404,7 @@ def cv_bandwidth(data, beta=None, grid=None):
     grid = sorted(grid, key=lambda b: b.h)
     best = None
     best_score = math.inf
-    for bw, score in zip(grid, _cv_scores(data, beta, grid).tolist()):
+    for bw, score in zip(grid, _cv_scores(data, grid).tolist()):
         if math.isfinite(score) and score < best_score:
             best = bw
             best_score = score

@@ -69,18 +69,6 @@ class AnalyticDistribution:
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"{self.kind}({inner})"
 
-    def __eq__(self, other):
-        return (isinstance(other, AnalyticDistribution)
-                and self.kind == other.kind and self.params == other.params)
-
-    def to_json(self):
-        return {"kind": self.kind, **self.params}
-
-    @classmethod
-    def from_json(cls, obj):
-        obj = dict(obj)
-        return cls(obj.pop("kind", None), **obj)
-
 
 def normal(mu=0.0, sigma=1.0):
     return AnalyticDistribution("normal", mu=mu, sigma=sigma)

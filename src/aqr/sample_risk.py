@@ -4,7 +4,9 @@ The estimator is an L-statistic: order the sample, weight the i-th order
 statistic by the density value at the plotting position i/(n+1). Raw mode is
 the literal n^{-1} sum; normalized mode divides by the summed weights so they
 add to one, which makes translation invariance and comonotone additivity hold
-exactly at finite n instead of only in the limit.
+exactly at finite n instead of only in the limit. The quantile family puts
+its Weibull interpolation at tau(n+1) on two order statistics. order_weights
+is the one source of the weights, for aqr_sample and the portfolio alike.
 """
 
 from dataclasses import dataclass
@@ -63,12 +65,8 @@ def aqr_sample(values, family, tau, mode="normalized"):
     """Weighted average of order statistics at plotting positions i/(n+1)."""
     if mode not in ("raw", "normalized"):
         raise DomainError(f"mode must be 'raw' or 'normalized', got {mode!r}")
-    t = _tau(tau)
     arr = _as_sample(values)
-    if family.kind == "qr-dirac":
-        # empirical quantile interpolated at the same plotting positions
-        return float(np.quantile(arr, t, method="weibull"))
-    w, divisor = order_weights(family, t, arr.size, mode)
+    w, divisor = order_weights(family, tau, arr.size, mode)
     return float(np.sort(arr) @ w) / divisor
 
 
@@ -104,24 +102,16 @@ class CoherenceReport:
             ok = ok and abs(self.additivity_residual) <= eq_tol
         return ok
 
-    def to_json(self):
-        return {
-            "n": self.n, "tau": self.tau, "comonotone": self.comonotone,
-            "homogeneity_residual": self.homogeneity_residual,
-            "translation_residual": self.translation_residual,
-            "additivity_residual": self.additivity_residual,
-            "subadditivity_slack": self.subadditivity_slack,
-        }
 
+def coherence_check(x, y, family, tau):
+    """Evaluate the coherence axioms on the pair (x, y) in normalized mode.
 
-def coherence_check(x, y, family, tau, lam=2.0, shift=1.0):
-    """Evaluate the coherence axioms on the pair (x, y) in normalized mode."""
+    Homogeneity scales x by 2.0 and translation shifts it by 1.0.
+    """
     x = _as_sample(x)
     y = _as_sample(y)
     if x.size != y.size:
         raise ShapeMismatch(f"paired samples differ in length: {x.size} vs {y.size}")
-    if not lam > 0.0:
-        raise DomainError("homogeneity scale lam must be positive")
     t = _tau(tau)
     w = omega(t)
     rx = aqr_sample(x, family, t)
@@ -130,8 +120,8 @@ def coherence_check(x, y, family, tau, lam=2.0, shift=1.0):
     como = comonotone_with(x, y)
     report = CoherenceReport(
         n=x.size, tau=t, comonotone=como,
-        homogeneity_residual=aqr_sample(lam * x, family, t) - lam * rx,
-        translation_residual=aqr_sample(x + shift, family, t) - (rx + shift),
+        homogeneity_residual=aqr_sample(2.0 * x, family, t) - 2.0 * rx,
+        translation_residual=aqr_sample(x + 1.0, family, t) - (rx + 1.0),
         additivity_residual=(rsum - rx - ry) if como else None,
         subadditivity_slack=w * rx + w * ry - w * rsum,
     )

@@ -145,6 +145,19 @@ def test_fit_and_dist_fit(tmp_path):
     assert np.linalg.norm(dist["beta"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dist_fit_sizes_record_carries_no_default_k(tmp_path):
+    data = write_xy_csv(tmp_path / "xy.csv", n=150)
+    cfg = write_json(tmp_path / "cfg.json", {"sizes": [60, 50, 40]})
+    assert main(["dist-fit", data, "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    run = json.loads((tmp_path / "dist_fit_run.json").read_text())
+    assert "K" not in run["config"]
+    assert run["config"]["sizes"] == [60, 50, 40]
+    assert run["report"]["K"] == 3
+    dist = json.loads((tmp_path / "dist_fit.json").read_text())
+    assert dist["K"] == 3 and dist["sizes"] == [60, 50, 40]
+
+
 def test_fit_fixed_bandwidth(tmp_path):
     data = write_xy_csv(tmp_path / "xy.csv", seed=6, n=80)
     cfg = write_json(tmp_path / "cfg.json", {"bandwidth": 0.8})

@@ -45,8 +45,6 @@ def test_shard_plan_validation():
         ShardPlan(2, (3,))
     with pytest.raises(DomainError):
         ShardPlan(2, (1, 5))
-    with pytest.raises(DomainError):
-        ShardPlan(2, (3, 3), central=1)
     assert even_plan(500, 10).n == 500
 
 

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aqr.errors import ZeroTruth
-from aqr.estimator import aqr_conditional, aqr_profile, rpad
+from aqr.estimator import _telescope, aqr_conditional, aqr_profile, rpad
+from aqr.experiments import builtin_families
 from aqr.families import (WeightFamily, es, exp_spectral, extremile, g_value,
                           ge, ges, qr_dirac)
 from aqr.kernel_cde import StepCDF
@@ -101,10 +105,9 @@ def test_profile_monotone_in_tau_exactly():
 
 def test_profile_singleton_matches_conditional():
     F = StepCDF(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
-    prof = aqr_profile(F, ges(1.0), [0.3], x0=1.5)
+    prof = aqr_profile(F, ges(1.0), [0.3])
     assert len(prof) == 1
     assert prof[0].value == aqr_conditional(F, ges(1.0), 0.3).value
-    assert prof[0].x0 == 1.5
 
 
 def test_rpad():
@@ -115,10 +118,45 @@ def test_rpad():
         rpad(1.0, 0.0)
 
 
-def test_estimate_serialization():
-    F = StepCDF(np.array([1.0, 2.0]), np.array([0.5, 1.0]))
-    est = aqr_conditional(F, es(), 0.25, x0=np.array([1.0, 2.0]))
-    d = est.to_json()
-    assert d["x0"] == [1.0, 2.0]
-    assert d["family"] == {"kind": "es"}
-    assert d["n_knots"] == 2
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 25),
+       st.floats(0.01, 0.99))
+def test_telescope_block_matches_conditional_row_by_row(seed, rows, n_knots,
+                                                        tau):
+    """A block of CDFs on shared knots telescopes row by row as one CDF does.
+
+    Some rows top out below 1, some below tau, so the quantile family meets
+    CDFs that never reach its level: it must report the top knot with mass
+    0, and otherwise the first knot whose level reaches tau with mass 1.
+    Masses and quantile-family values are selections and must match
+    exactly. A density family's value is a dot product, which the block
+    takes as one matrix-vector product: its summation order may differ from
+    a single row's, so each must lie within the rounding bound of an m-term
+    dot product (in any order) of the exactly summed terms.
+    """
+    rng = np.random.default_rng(seed)
+    knots = np.cumsum(rng.uniform(0.1, 1.0, n_knots)) - 0.5 * n_knots
+    top = np.where(rng.random(rows) < 0.5, 1.0,
+                   rng.uniform(0.0, 1.0, rows))
+    levels = np.sort(rng.uniform(0.0, 1.0, (rows, n_knots)), axis=1)
+    levels *= top[:, None]
+    levels[:, -1] = top
+    eps = np.finfo(float).eps
+    for _, fam in builtin_families():
+        values, masses = _telescope(knots, levels, fam, tau)
+        for r in range(rows):
+            est = aqr_conditional(StepCDF(knots, levels[r]), fam, tau)
+            if fam.kind == "qr-dirac":
+                reach = np.flatnonzero(levels[r] >= tau)
+                want = ((knots[reach[0]], 1.0) if reach.size
+                        else (knots[-1], 0.0))
+                assert (values[r], masses[r]) == want
+                assert (est.value, est.g_mass) == want
+                continue
+            g = g_value(fam, tau, levels[r])
+            assert masses[r] == est.g_mass == g[-1]
+            terms = knots * np.diff(g, prepend=0.0)
+            exact = math.fsum(terms)
+            bound = (n_knots + 1) * eps * float(np.sum(np.abs(terms)))
+            assert abs(values[r] - exact) <= bound
+            assert abs(est.value - exact) <= bound

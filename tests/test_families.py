@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from aqr.errors import DomainError, ScheduleDomain, SingularDensity
-from aqr.families import (ALPHA_LIMIT, TauLevel, WeightFamily, es, exp_spectral,
+from aqr.families import (ALPHA_LIMIT, WeightFamily, es, exp_spectral,
                           extremile, g_value, ge, ges, j_value, omega,
                           qr_dirac, resolve_alpha, tabulated, validate_c1)
 
@@ -19,10 +19,10 @@ TAUS = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95]
 
 
 def test_tau_level_bounds():
-    assert float(TauLevel(0.3)) == 0.3
+    assert g_value(es(), 0.3, 0.3) == 1.0
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(DomainError):
-            TauLevel(bad)
+            g_value(es(), bad, 0.5)
     with pytest.raises(DomainError):
         j_value(es(), 0.0, 0.5)
 

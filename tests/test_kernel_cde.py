@@ -54,7 +54,6 @@ def test_bandwidth_validation():
         Bandwidth(0.0)
     with pytest.raises(DomainError):
         Bandwidth(-1.0)
-    assert Bandwidth(0.3).rate_exponent == 0.2
 
 
 def test_step_cdf_validation_and_evaluate():
@@ -401,7 +400,7 @@ def test_cv_scores_match_dense_reference(case, rows):
     grid.append(Bandwidth(1e-3 * grid[0].h))
     cells = _CV_BLOCK_CELLS if rows is None else rows * data.n
     with mock.patch("aqr.kernel_cde._CV_BLOCK_CELLS", cells):
-        totals = _cv_scores(data, None, grid)
+        totals = _cv_scores(data, grid)
     want = dense_cv_scores(data, grid)
     for got, ref in zip((totals / data.n**2).tolist(), want):
         if math.isinf(ref):

@@ -8,7 +8,10 @@ sample_risk.order_weights, so the portfolio objective cannot drift from
 risk_sample: portfolio.py may not evaluate the weight density itself. And
 the index-fit recipe (start direction, rule bandwidths, pilot, Newton
 rounds) comes only from experiments.fit_pooled and fit_sharded, so the CLI
-fits cannot drift from the studies: cli.py may not call its pieces.
+fits cannot drift from the studies: cli.py may not call its pieces. The
+telescoped reduction of a step CDF under a weight family belongs to
+estimator._telescope, so experiments.py may not apply G itself. Last, the
+package's export list must name each public object once and resolve.
 """
 
 import ast
@@ -53,3 +56,19 @@ def test_cli_takes_its_index_fits_from_experiments():
     calls = [f"cli.py:{line} {name}" for name, line in _called_names(path)
              if name in recipe]
     assert calls == []
+
+
+def test_experiments_takes_its_reduction_from_estimator():
+    path = Path(aqr.__file__).parent / "experiments.py"
+    calls = [f"experiments.py:{line} {name}"
+             for name, line in _called_names(path) if name == "g_value"]
+    assert calls == []
+
+
+def test_package_exports_are_unique_and_resolve():
+    assert len(aqr.__all__) == len(set(aqr.__all__))
+    missing = [name for name in aqr.__all__ if not hasattr(aqr, name)]
+    assert missing == []
+    namespace = {}
+    exec("from aqr import *", namespace)
+    assert set(aqr.__all__) <= set(namespace)
