@@ -12,21 +12,24 @@ byte-identical. Exit codes: 0 success, 1 a validation or analysis failure,
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__
 from . import experiments as ex
 from .errors import AqrError, ParseError
-from .families import WeightFamily
+from .families import WeightFamily, omega
 from .kernel_cde import Dataset
 from .distributed import ShardPlan, partition
 from .portfolio import DEFAULT_ITERATIONS, DEFAULT_STARTS, ReturnsMatrix
-from .sample_risk import aqr_sample, risk_sample
+from .sample_risk import aqr_sample
 
 _TAU_ITEM = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _TAU_LIST = {"type": "array", "items": _TAU_ITEM, "minItems": 1}
@@ -165,11 +168,18 @@ def _resolve_config(args):
     if args.config:
         with open(args.config) as fh:
             user = json.load(fh)
-        jsonschema.validate(user, SCHEMAS[command])
+        # jsonschema.validate without its check_schema pass, which re-checks
+        # our constant schemas on every call; the tests check them once.
+        schema = SCHEMAS[command]
+        error = best_match(validator_for(schema)(schema).iter_errors(user))
+        if error is not None:
+            raise error
         config.update(user)
-        if "sizes" in user:
-            # explicit shard sizes fix K; a default K would contradict them
-            del config["K"]
+        # an explicit value fixes what a default would contradict: shard
+        # sizes fix K, and a fixed bandwidth needs no rate exponent
+        for key, default in (("sizes", "K"), ("bandwidth", "rate_exponent")):
+            if key in user:
+                del config[default]
     if command in PRESET_REPS and "reps" not in config:
         config["reps"] = PRESET_REPS[command][config["preset"]]
     if args.seed is not None and "seed" in config:
@@ -178,10 +188,8 @@ def _resolve_config(args):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -225,60 +233,87 @@ def _write_run(args, config, report, outputs):
 
 
 # ---------------------------------------------------------------------------
-# CSV readers
+# CSV reader
 
-def _read_matrix_csv(path):
-    """Numeric matrix with one header row; returns (header, array)."""
+_LOADTXT_SPACE = b"\x1c\x1d\x1e\x1f"
+
+
+def _read_numeric_csv(path, column=False):
+    """A numeric CSV file as (header, float array of rows by columns).
+
+    A matrix file (column=False) starts with a header row, and every data
+    row has as many fields. A column file has one value per line; its first
+    line is its header when it is not a number, and the header is [] when
+    there is none. Blank lines are skipped, a cell is a number when float()
+    takes it (quoted cells too), and "#" starts no comment.
+
+    np.loadtxt parses the file when it can. When it cannot, the per-cell
+    loop reads the file again and returns the same array, or raises the
+    ParseError that names the bad row and column.
+    """
+    with open(path, newline="") as fh:
+        encoding, head, rest = (fh.encoding, fh.buffer.readline(),
+                                fh.buffer.read())
+    # loadtxt parses the bytes after the first line and decodes each line
+    # with the file's encoding. It is skipped, or raises, wherever its
+    # reading could differ from the loop's:
+    # - it warns on an input without data lines;
+    # - it strips "\x1c" to "\x1f" around a number, and float() does not;
+    # - byte lines end only at b"\n", so a lone "\r" makes csv or loadtxt
+    #   raise;
+    # - a quote in a data line fails its number parse, and strict csv raises
+    #   on a first record that runs past its line.
+    table = None
+    if rest.lstrip(b"\r\n") and not any(c in rest for c in _LOADTXT_SPACE):
+        try:
+            first = next(csv.reader([head.decode(encoding)], strict=True))
+            width = 1 if column else len(first)
+            table = np.loadtxt(io.BytesIO(rest), delimiter=",", comments=None,
+                               ndmin=2, dtype=float, encoding=encoding)
+        except (csv.Error, ValueError):
+            pass
+    if table is not None and len(first) == width == table.shape[1]:
+        if not column:
+            return [c.strip() for c in first], table
+        try:
+            return [], np.concatenate(([[float(first[0])]], table))
+        except ValueError:
+            return first, table
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise ParseError("empty CSV", row=1) from None
+        if column:
+            header, width, start = [], 1, 1
+        else:
+            try:
+                header = [c.strip() for c in next(reader)]
+            except StopIteration:
+                raise ParseError("empty CSV", row=1) from None
+            width, start = len(header), 2
         rows = []
-        for i, rec in enumerate(reader, start=2):
+        for i, rec in enumerate(reader, start=start):
             if not rec:
                 continue
-            if len(rec) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(rec)}", row=i)
+            if len(rec) != width:
+                raise ParseError(f"expected {width} field"
+                                 f"{'' if column else 's'}, got {len(rec)}",
+                                 row=i)
             vals = []
             for j, cell in enumerate(rec, start=1):
                 try:
                     vals.append(float(cell))
                 except ValueError:
-                    raise ParseError(f"non-numeric value {cell.strip()!r}",
-                                     row=i, col=j) from None
-            rows.append(vals)
+                    if not (column and i == 1):
+                        raise ParseError(f"non-numeric value "
+                                         f"{cell.strip()!r}",
+                                         row=i, col=j) from None
+                    header = rec
+                    break
+            else:
+                rows.append(vals)
     if not rows:
-        raise ParseError("no data rows", row=2)
+        raise ParseError("no data rows", row=start)
     return header, np.array(rows)
-
-
-def _read_returns_csv(path):
-    header, table = _read_matrix_csv(path)
-    return ReturnsMatrix(table, labels=header)
-
-
-def _read_column_csv(path):
-    """One value per line; a single non-numeric first line is a header."""
-    values = []
-    with open(path, newline="") as fh:
-        for i, rec in enumerate(csv.reader(fh), start=1):
-            if not rec:
-                continue
-            if len(rec) != 1:
-                raise ParseError(f"expected 1 field, got {len(rec)}", row=i)
-            try:
-                values.append(float(rec[0]))
-            except ValueError:
-                if i == 1:
-                    continue
-                raise ParseError(f"non-numeric value {rec[0].strip()!r}",
-                                 row=i, col=1) from None
-    if not values:
-        raise ParseError("no data rows", row=1)
-    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +372,13 @@ def _cmd_sim2(args, config):
 
 
 def _cmd_portfolio(args, config):
-    fit_returns = _read_returns_csv(args.fit_csv)
-    test_returns = _read_returns_csv(args.test_csv)
-    bench = _read_column_csv(args.bench_csv)
+    header, table = _read_numeric_csv(args.fit_csv)
+    fit_returns = ReturnsMatrix(table, labels=header)
+    header, table = _read_numeric_csv(args.test_csv)
+    test_returns = ReturnsMatrix(table, labels=header)
+    _, bench = _read_numeric_csv(args.bench_csv, column=True)
     family = WeightFamily.from_json(config["family"])
-    report = ex.run_portfolio(fit_returns, test_returns, bench, family,
+    report = ex.run_portfolio(fit_returns, test_returns, bench[:, 0], family,
                               config["tau"], starts=config["starts"],
                               iterations=config["iterations"],
                               seed=config["seed"], mode=config["mode"])
@@ -366,7 +403,7 @@ def _cmd_airquality(args, config):
 
 
 def _load_xy_csv(path):
-    header, table = _read_matrix_csv(path)
+    header, table = _read_numeric_csv(path)
     if table.shape[1] < 2:
         raise ParseError("need a response column plus at least one covariate",
                          row=1)
@@ -375,7 +412,7 @@ def _load_xy_csv(path):
 
 def _cmd_fit(args, config):
     header, data = _load_xy_csv(args.data_csv)
-    model = ex.fit_pooled(data, config["rate_exponent"],
+    model = ex.fit_pooled(data, config.get("rate_exponent"),
                           config.get("bandwidth"))
     report = dict(model.to_json())
     report["covariates"] = header[1:]
@@ -403,14 +440,14 @@ def _cmd_dist_fit(args, config):
 
 
 def _cmd_risk(args, config):
-    values = _read_column_csv(args.data_csv)
+    _, table = _read_numeric_csv(args.data_csv, column=True)
     family = WeightFamily.from_json(config["family"])
+    # risk_sample is omega(tau) times aqr_sample; one call sorts once
+    value = aqr_sample(table[:, 0], family, config["tau"], mode=config["mode"])
     report = {
-        "risk": risk_sample(values, family, config["tau"],
-                            mode=config["mode"]),
-        "value": aqr_sample(values, family, config["tau"],
-                            mode=config["mode"]),
-        "n": int(values.size),
+        "risk": omega(config["tau"]) * value,
+        "value": value,
+        "n": len(table),
         "family": family.label(),
         "tau": config["tau"],
         "mode": config["mode"],

@@ -6,9 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema.validators import validator_for
 
 import aqr
-from aqr.cli import DEFAULTS, SCHEMAS, config_schema, main
+from aqr.cli import DEFAULTS, SCHEMAS, _read_numeric_csv, config_schema, main
+from aqr.errors import ParseError
 
 RUN_RECORD_KEYS = ["command", "config", "config_sha256", "seed", "version",
                    "outputs", "report"]
@@ -37,6 +40,8 @@ def test_every_command_has_schema_and_defaults():
     for command, schema in SCHEMAS.items():
         assert schema["additionalProperties"] is False
         assert config_schema(command) is schema
+        # the CLI validates configs without re-checking its schemas
+        validator_for(schema).check_schema(schema)
 
 
 def test_validate_run_record(tmp_path):
@@ -164,6 +169,8 @@ def test_fit_fixed_bandwidth(tmp_path):
     assert main(["fit", data, "--config", cfg, "--out", str(tmp_path)]) == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["h"] == 0.8
+    run = json.loads((tmp_path / "fit_run.json").read_text())
+    assert run["config"] == {"bandwidth": 0.8}
 
 
 @pytest.mark.parametrize("command, config", [
@@ -185,6 +192,155 @@ def test_fit_parse_error_reports_location(tmp_path, capsys):
     assert main(["fit", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "(row 3, col 2)" in err
+
+
+# The per-row readers cli.py used before np.loadtxt, kept verbatim as the
+# reference: _read_numeric_csv must return the same arrays and raise the
+# same ParseError text, row and column.
+
+def _loop_read_matrix_csv(path):
+    """Numeric matrix with one header row; returns (header, array)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [c.strip() for c in next(reader)]
+        except StopIteration:
+            raise ParseError("empty CSV", row=1) from None
+        rows = []
+        for i, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(rec)}", row=i)
+            vals = []
+            for j, cell in enumerate(rec, start=1):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise ParseError(f"non-numeric value {cell.strip()!r}",
+                                     row=i, col=j) from None
+            rows.append(vals)
+    if not rows:
+        raise ParseError("no data rows", row=2)
+    return header, np.array(rows)
+
+
+def _loop_read_column_csv(path):
+    """One value per line; a single non-numeric first line is a header."""
+    values = []
+    with open(path, newline="") as fh:
+        for i, rec in enumerate(csv.reader(fh), start=1):
+            if not rec:
+                continue
+            if len(rec) != 1:
+                raise ParseError(f"expected 1 field, got {len(rec)}", row=i)
+            try:
+                values.append(float(rec[0]))
+            except ValueError:
+                if i == 1:
+                    continue
+                raise ParseError(f"non-numeric value {rec[0].strip()!r}",
+                                 row=i, col=1) from None
+    if not values:
+        raise ParseError("no data rows", row=1)
+    return np.array(values)
+
+
+def _read_or_error(read):
+    try:
+        return read(), None
+    except ParseError as exc:
+        return None, (str(exc), exc.row, exc.col)
+
+
+def assert_reads_like_the_loop(path, column):
+    """Same header and bit-identical array, or the same ParseError."""
+    new, new_error = _read_or_error(lambda: _read_numeric_csv(path, column))
+    if column:
+        old, old_error = _read_or_error(
+            lambda: ([], _loop_read_column_csv(path)))
+        new = new and ([], new[1][:, 0])
+    else:
+        old, old_error = _read_or_error(lambda: _loop_read_matrix_csv(path))
+    assert new_error == old_error
+    if old is not None:
+        assert new[0] == old[0]
+        assert new[1].dtype == old[1].dtype == np.float64
+        assert new[1].shape == old[1].shape
+        assert np.array_equal(new[1].view(np.uint64), old[1].view(np.uint64))
+
+
+_CELL = st.tuples(
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.one_of(
+        st.floats(width=64).map(repr),
+        st.tuples(st.integers(-999, 999), st.integers(0, 99)).map(
+            lambda t: f"{t[0]}.{t[1]}"),
+        st.sampled_from(["nan", "inf", "-inf", "Infinity", "-Infinity",
+                         "NaN", "+1", "-0", "1e-5", ".5", "5.", "1e400"])),
+    st.sampled_from(["", " ", "\t"]),
+).map("".join)
+
+
+@st.composite
+def numeric_csv(draw):
+    column = draw(st.booleans())
+    width = 1 if column else draw(st.integers(1, 3))
+    lines = []
+    if not column or draw(st.booleans()):
+        lines.append(",".join(f"c{j}" for j in range(width)))
+    rows = st.lists(_CELL, min_size=width, max_size=width).map(",".join)
+    lines += draw(st.lists(st.one_of(rows, st.just("")), max_size=12))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.sampled_from(["", eol]))
+    return column, eol.join(lines) + (tail if lines else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_csv())
+def test_reader_matches_the_per_row_loop(tmp_path_factory, case):
+    column, text = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode())
+    assert_reads_like_the_loop(path, column)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, column", [
+    ("r\n1\n# x\n2\n", True),
+    ("y,x\n1,2\n# x\n", False),
+    ("r\n1\n   \n2\n", True),
+    ("y,x\n1,2\n \t \n", False),
+    ('r\n"1.5"\n2\n', True),
+    ('"1.5"\n2\n', True),
+    ('"y","x"\n"1.5",2\n3,4\n', False),
+    ("1_0\n2\n", True),
+    ("y,x\n1_0,2\n", False),
+    ("r\n1.5,\n", True),
+    ("y,x\n1,2,\n", False),
+    ("y,x\n1,2\n3\n", False),
+    ("r\n", True),
+    ("y,x\n\n\n", False),
+    ("", True),
+    ("", False),
+    ("\n1\n", True),
+    ("\n1,2\n", False),
+    ("ret\n1\n2\n", True),
+    ("1\nret\n2\n", True),
+    ("1\n", True),
+    ("r\r1\r2\r", True),
+    ("y,x\r1,2\r", False),
+    ('"1\n2\n3\n', True),
+    ('"y\nx",z\n1,2\n', False),
+    ("r\n1\x002\n", True),
+    ("r\n1\x1c\n", True),
+    ("y,x\n1,\x1f2\n", False),
+])
+def test_reader_edge_cases_match_the_per_row_loop(tmp_path, text, column):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    assert_reads_like_the_loop(path, column)
 
 
 def test_risk_roundtrip(tmp_path):

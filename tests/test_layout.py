@@ -10,8 +10,10 @@ the index-fit recipe (start direction, rule bandwidths, pilot, Newton
 rounds) comes only from experiments.fit_pooled and fit_sharded, so the CLI
 fits cannot drift from the studies: cli.py may not call its pieces. The
 telescoped reduction of a step CDF under a weight family belongs to
-estimator._telescope, so experiments.py may not apply G itself. Last, the
-package's export list must name each public object once and resolve.
+estimator._telescope, so experiments.py may not apply G itself. cli.py
+parses numbers in one place, its CSV reader, so no command can read a file
+by other rules. Last, the package's export list must name each public
+object once and resolve.
 """
 
 import ast
@@ -62,6 +64,16 @@ def test_experiments_takes_its_reduction_from_estimator():
     path = Path(aqr.__file__).parent / "experiments.py"
     calls = [f"experiments.py:{line} {name}"
              for name, line in _called_names(path) if name == "g_value"]
+    assert calls == []
+
+
+def test_cli_parses_numbers_only_in_its_csv_reader():
+    path = Path(aqr.__file__).parent / "cli.py"
+    reader = next(node for node in ast.parse(path.read_text()).body
+                  if getattr(node, "name", None) == "_read_numeric_csv")
+    calls = [f"cli.py:{line} {name}" for name, line in _called_names(path)
+             if name in ("loadtxt", "float")
+             and not reader.lineno <= line <= reader.end_lineno]
     assert calls == []
 
 
