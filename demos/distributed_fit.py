@@ -26,7 +26,7 @@ def main():
 
     plan = ShardPlan.even(n, K)
     data = partition(Dataset(y, X), plan, seed=0)
-    model, comm, pilot, _ = fit_sharded(data, plan)
+    model, comm, pilot, _ = fit_sharded(data)
     print(f"central pilot   beta = {np.round(pilot, 4).tolist()}  "
           f"aae = {aae(pilot, beta0):.4f}  (n_k = {plan.sizes[0]} points)")
     print(f"after {len(comm.rounds)} Newton round(s) "

@@ -281,7 +281,7 @@ def _read_numeric_csv(path, column=False):
             return first, table
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = ex._csv_records(fh)
         if column:
             header, width, start = [], 1, 1
         else:
@@ -425,10 +425,9 @@ def _cmd_fit(args, config):
 def _cmd_dist_fit(args, config):
     header, data = _load_xy_csv(args.data_csv)
     sizes = config.get("sizes")
-    plan = (ShardPlan(len(sizes), sizes) if sizes
-            else ShardPlan.even(data.n, config["K"]))
+    plan = ShardPlan(sizes) if sizes else ShardPlan.even(data.n, config["K"])
     pdata = partition(data, plan, seed=config["seed"])
-    model, comm, _, h1 = ex.fit_sharded(pdata, plan, config["rate_exponent"],
+    model, comm, _, h1 = ex.fit_sharded(pdata, config["rate_exponent"],
                                         config["rounds"])
     report = dict(model.to_json())
     report.update({"h1": h1.h, "K": plan.K, "sizes": list(plan.sizes),
@@ -516,7 +515,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-    except (OSError, json.JSONDecodeError,
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
             jsonschema.ValidationError, AqrError) as exc:
         print(f"aqr {args.command}: config error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,17 @@
 """Simulated K-worker distributed fitting of the single-index direction.
 
-Worker 0 is always central: it owns shard M1 (label 0) and fits the pilot that
-callers pass to run_distributed (experiments.fit_sharded owns that recipe).
-Each newton_round maps the current IndexModel to the next: the central
-machine broadcasts the direction, every worker computes its shard's partial
-gradient of the pooled criterion, and the central machine reduces the parts
-in ascending worker order with compensated summation, as psis_gradient
-does, so the distributed gradient matches the pooled one bit for bit. The
-round's Newton step is undamped and Euclidean, unlike fit_full's: the
-Hessian comes from shard M1 alone, with the central bandwidth h1, and the
-iterate is renormalized.
+The Dataset's shard labels are the one record of the sharding; ShardPlan
+only tells partition how to split rows. K is the number of distinct labels,
+none negative, and every shard needs at least two rows. Shard 0 is central:
+it owns M1 and fits the pilot that callers pass to run_distributed
+(experiments.fit_sharded owns that recipe). Each newton_round maps the
+current IndexModel to the next: the central machine broadcasts the
+direction, every worker computes its shard's partial gradient of the pooled
+criterion, and the central machine reduces the parts in ascending label
+order with compensated summation, as psis_gradient does, so the distributed
+gradient matches the pooled one bit for bit. The round's Newton step is
+undamped and Euclidean, unlike fit_full's: the Hessian comes from shard M1
+alone, with the central bandwidth h1, and the iterate is renormalized.
 
 Communication accounting
 ------------------------
@@ -43,22 +45,23 @@ from .single_index import (IndexModel, _gradient_parts, _newton_step,
 
 @dataclass
 class ShardPlan:
-    """Worker count and per-worker shard sizes; worker 0 is central."""
-    K: int
+    """How partition splits rows: one size per shard, shard 0 first."""
     sizes: tuple
 
     def __post_init__(self):
         self.sizes = tuple(int(s) for s in self.sizes)
-        if self.K != len(self.sizes) or self.K < 1:
-            raise DomainError("K must match the number of shard sizes")
-        if any(s < 2 for s in self.sizes):
-            raise DomainError("every shard needs at least two rows")
+        if not self.sizes or min(self.sizes) < 2:
+            raise DomainError("need one or more shards of two or more rows")
 
     @classmethod
     def even(cls, n, K):
         """Even split of n rows: sizes differ by at most one, larger first."""
         n, K = int(n), int(K)
-        return cls(K, tuple(n // K + (k < n % K) for k in range(K)))
+        return cls(tuple(n // K + (k < n % K) for k in range(K)))
+
+    @property
+    def K(self):
+        return len(self.sizes)
 
     @property
     def n(self):
@@ -104,44 +107,46 @@ def partition(data, plan, seed):
     return Dataset(data.y, data.X, labels)
 
 
-def _check_partition(data, plan):
-    counts = np.bincount(data.shard_of, minlength=plan.K)
-    if counts.size != plan.K or not np.array_equal(counts, plan.sizes):
-        raise PlanMismatch(
-            f"shard histogram {counts.tolist()} does not match plan "
-            f"{list(plan.sizes)}")
+def _shard_sizes(data):
+    """Rows per shard in ascending label order, central shard 0 first."""
+    labels, sizes = np.unique(data.shard_of, return_counts=True)
+    if labels[0] != 0 or sizes.min() < 2:
+        raise DomainError(f"shard sizes {sizes.tolist()} from label "
+                          f"{labels[0]}: need shard 0 and two rows per shard")
+    return sizes
 
 
 def _central_shard(data):
+    """Shard 0's rows, once the labels have passed _shard_sizes."""
+    _shard_sizes(data)
     idx = np.flatnonzero(data.shard_of == 0)
     return Dataset(data.y[idx], data.X[idx])
 
 
-def local_init(data, plan, h1):
+def local_init(data, h1):
     """Pilot direction: the full fit restricted to the central shard."""
-    _check_partition(data, plan)
     sub = _central_shard(data)
     init = normalize_beta(np.ones(sub.p))
     return fit_full(sub, h1, init).beta
 
 
-def _round_comm(plan, n, p):
-    scalars = plan.K * p + p + 2 * plan.K
-    messages = 3 * plan.K + 1
+def _round_comm(K, n, p):
+    scalars = K * p + p + 2 * K
+    messages = 3 * K + 1
     per_row = 2 * n + n * p + p + 2
-    sstat = (plan.K - 1) * n * (per_row + 1)
+    sstat = (K - 1) * n * (per_row + 1)
     return RoundComm(scalars, messages, sstat)
 
 
-def newton_round(data, plan, model, h1, comm):
+def newton_round(data, model, h1, comm):
     """One round from `model`: gradient exchange under model.h, central
     Newton update under `h1`; appends the round's tally to `comm`."""
-    _check_partition(data, plan)
+    central = _central_shard(data)
     parts = _gradient_parts(data, model.beta, model.h)
     grad = _reduce_gradient(parts, data.n, data.p)
-    hess = psis_hessian(_central_shard(data), model.beta, h1)
+    hess = psis_hessian(central, model.beta, h1)
     beta = normalize_beta(model.beta - _newton_step(hess, grad))
-    comm.rounds.append(_round_comm(plan, data.n, data.p))
+    comm.rounds.append(_round_comm(data.shard_labels().size, data.n, data.p))
     return IndexModel(beta, model.h)
 
 
@@ -156,24 +161,24 @@ def default_rounds(n, n1, h1):
     return max(1, math.ceil(math.log(n / n1) / denom))
 
 
-def run_distributed(data, plan, rounds, h, h1, beta0):
+def run_distributed(data, rounds, h, h1, beta0):
     """`rounds` Newton rounds from the caller's pilot direction `beta0`.
 
     Pass rounds=None to use default_rounds on (n, n1, h1). Returns the fitted
     IndexModel under the global bandwidth and the communication report; a
     pilot off the unit sphere or with first entry <= 0 raises DomainError.
     """
-    _check_partition(data, plan)
+    sizes = _shard_sizes(data)
     h1 = _as_bandwidth(h1)
     if rounds is None:
-        rounds = default_rounds(data.n, plan.sizes[0], h1.h)
+        rounds = default_rounds(data.n, sizes[0], h1.h)
     rounds = int(rounds)
     if rounds < 1:
         raise DomainError("need at least one round")
-    comm = CommReport(setup_scalars=(plan.K - 1) * data.n)
+    comm = CommReport(setup_scalars=(sizes.size - 1) * data.n)
     model = IndexModel(beta0, h)
     for _ in range(rounds):
-        model = newton_round(data, plan, model, h1, comm)
+        model = newton_round(data, model, h1, comm)
     return model, comm
 
 

@@ -22,7 +22,6 @@ class AqrEstimate:
     value: float
     tau: float
     family: Any
-    n_knots: int
     g_mass: float
     mass_deficit: float
 
@@ -51,8 +50,7 @@ def aqr_conditional(F, family, tau):
     t = _tau(tau)
     value, mass = _telescope(F.knots, F.levels, family, t)
     return AqrEstimate(value=float(value), tau=t, family=family,
-                       n_knots=int(F.knots.size), g_mass=float(mass),
-                       mass_deficit=F.mass_deficit)
+                       g_mass=float(mass), mass_deficit=F.mass_deficit)
 
 
 def aqr_profile(F, family, taus):

@@ -1,18 +1,20 @@
 """Deterministic experiment engines behind the command line tool.
 
 Every runner returns plain dicts and row lists ready for CSV/JSON dumping;
-argument parsing and file I/O live in the CLI. Replication seeds are spawned
-from the master seed by counter, so a run is reproducible for any thread
-count, and reductions always happen in replication order.
+argument parsing and file I/O live in the CLI, except that load_airquality
+reads its own table. Replication seeds are spawned from the master seed by
+counter, so a run is reproducible for any thread count, and reductions
+always happen in replication order.
 """
 
+import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .distributed import (ShardPlan, aae, local_init, partition,
-                          run_distributed)
+from .distributed import (ShardPlan, _central_shard, aae, local_init,
+                          partition, run_distributed)
 from .errors import DomainError, ParseError
 from .estimator import _telescope, aqr_conditional, rpad
 from .families import (WeightFamily, _tau, es, exp_spectral, extremile, ge,
@@ -308,17 +310,16 @@ def fit_pooled(data, rate_exponent=INDEX_RATE_EXPONENT, bandwidth=None):
     return fit_full(data, bandwidth, init)
 
 
-def fit_sharded(data, plan, rate_exponent=INDEX_RATE_EXPONENT, rounds=None):
+def fit_sharded(data, rate_exponent=INDEX_RATE_EXPONENT, rounds=None):
     """Distributed index fit on shard-labelled `data`: h1 is the central
     shard's rule bandwidth at the all-ones direction, the pilot its fit under
     h1, h the rule bandwidth at the pilot index; then run_distributed.
     Returns (model, comm, pilot, h1)."""
     init = normalize_beta(np.ones(data.p))
-    central = data.X[data.shard_of == 0]
-    h1 = rule_bandwidth(central @ init, rate_exponent)
-    pilot = local_init(data, plan, h1)
+    h1 = rule_bandwidth(_central_shard(data).X @ init, rate_exponent)
+    pilot = local_init(data, h1)
     h = rule_bandwidth(data.X @ pilot, rate_exponent)
-    model, comm = run_distributed(data, plan, rounds, h, h1, pilot)
+    model, comm = run_distributed(data, rounds, h, h1, pilot)
     return model, comm, pilot, h1
 
 
@@ -352,9 +353,9 @@ def _sim2_rep(args):
     y, X = _sim2_draw(rng, n)
     data = Dataset(y, X)
     model_all = fit_pooled(data)
-    plan = ShardPlan.even(n, K)
-    pdata = partition(data, plan, seed=_rep_seed(master, 1, rep))
-    model_de, comm, beta0, _ = fit_sharded(pdata, plan)
+    pdata = partition(data, ShardPlan.even(n, K),
+                      seed=_rep_seed(master, 1, rep))
+    model_de, comm, beta0, _ = fit_sharded(pdata)
     return {
         "aae_all": aae(model_all.beta, SIM2_BETA0),
         "aae_de": aae(model_de.beta, SIM2_BETA0),
@@ -419,9 +420,8 @@ def k1_newton_gap(master_seed=1, n=200):
     Newton path replayed directly with the pooled-data derivatives."""
     rng = np.random.default_rng(_rep_seed(master_seed, 2, 0))
     y, X = _sim2_draw(rng, n)
-    plan = ShardPlan(1, (n,))
-    data = partition(Dataset(y, X), plan, seed=0)
-    model, comm, manual, h1 = fit_sharded(data, plan)
+    data = Dataset(y, X)
+    model, comm, manual, h1 = fit_sharded(data)
     for _ in comm.rounds:
         grad = psis_gradient(data, manual, model.h)
         hess = psis_hessian(data, manual, h1)
@@ -455,6 +455,8 @@ AIRQ_TAUS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5,
              0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 AIRQ_RESPONSE = "PM2.5"
 AIRQ_COVARIATES = ("TEMP", "PRES", "DEWP", "WSPM")
+AIRQ_DATE = ("year", "month", "day")
+AIRQ_WINTER = ((2016, 12), (2017, 1), (2017, 2))
 AIRQ_ASSUMPTION = ("hourly records are averaged to one value per site-day "
                    "after dropping hours with missing fields")
 
@@ -470,6 +472,25 @@ def _airq_float(text, row, col):
                          row=row, col=col) from None
 
 
+def _csv_records(fh):
+    """csv.reader over the text file `fh`; its failures raise ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        # the offset is into the decoder's chunk; find the one in the file
+        with open(fh.name, "rb") as raw:
+            try:
+                raw.read().decode(fh.encoding)
+            except UnicodeDecodeError as whole:
+                exc = whole
+        raise ParseError(
+            f"byte {exc.object[exc.start]:#04x} is not {fh.encoding} text",
+            row=exc.object.count(b"\n", 0, exc.start) + 1) from None
+
+
 def load_airquality(path, winter=True):
     """Read site-day rows from a raw hourly export or a daily file.
 
@@ -479,46 +500,35 @@ def load_airquality(path, winter=True):
     December through February of the 2016/17 season. Returns
     (y, X, shard_of, site_names) with shards indexed by sorted site name.
     """
-    import csv
-
-    needed = (AIRQ_RESPONSE,) + AIRQ_COVARIATES
+    fields = (AIRQ_RESPONSE,) + AIRQ_COVARIATES
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in needed:
+        records = _csv_records(fh)
+        header = next(records, [])
+        for col in fields:
             if col not in header:
                 raise ParseError(f"missing required column {col}",
                                  row=1, col=col)
         hourly = "hour" in header
-        dated = all(c in header for c in ("year", "month", "day"))
-        sited = "station" in header
+        dates = AIRQ_DATE if all(c in header for c in AIRQ_DATE) else ()
         groups = {}
-        order = []
-        for i, rec in enumerate(reader, start=2):
-            vals = [_airq_float(rec[col] or "", i, col) for col in needed]
-            if any(v is None for v in vals):
+        for i, cells in enumerate(records, start=2):
+            rec = dict(zip(header, cells))
+            vals = [_airq_float(rec.get(col) or "", i, col)
+                    for col in fields + dates]
+            if None in vals:
                 continue
-            if winter and dated:
-                y_, m_ = int(float(rec["year"])), int(float(rec["month"]))
-                if not ((y_ == 2016 and m_ == 12)
-                        or (y_ == 2017 and m_ in (1, 2))):
-                    continue
-            site = rec["station"].strip() if sited else ""
-            if hourly and dated:
-                key = (site, int(float(rec["year"])),
-                       int(float(rec["month"])), int(float(rec["day"])))
-            else:
-                key = (site, i)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(vals)
-    if not order:
+            date = tuple(vals[len(fields):])
+            if winter and date and date[:2] not in AIRQ_WINTER:
+                continue
+            site = (rec.get("station") or "").strip()
+            key = (site,) + date if hourly and date else (site, i)
+            groups.setdefault(key, []).append(vals[:len(fields)])
+    if not groups:
         raise ParseError("no usable rows after filtering", row=2, col=None)
-    sites = sorted({key[0] for key in order})
+    sites = sorted({key[0] for key in groups})
     site_index = {s: k for k, s in enumerate(sites)}
-    rows = [np.mean(groups[key], axis=0) for key in sorted(order)]
-    shard_of = np.array([site_index[key[0]] for key in sorted(order)])
+    rows = [np.mean(groups[key], axis=0) for key in sorted(groups)]
+    shard_of = np.array([site_index[key[0]] for key in sorted(groups)])
     table = np.array(rows, dtype=float)
     return table[:, 0], table[:, 1:], shard_of, sites
 
@@ -567,9 +577,7 @@ def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS):
     taus = tuple(float(t) for t in taus)
 
     model_full = fit_pooled(Dataset(y, X))
-    sizes = np.bincount(shard_of)
-    plan = ShardPlan(sizes.size, sizes)
-    model_de, comm, _, h1 = fit_sharded(Dataset(y, X, shard_of), plan)
+    model_de, comm, _, h1 = fit_sharded(Dataset(y, X, shard_of))
 
     fams = [("qr", qr_dirac())] + study_families()
     tables = {}
@@ -589,7 +597,7 @@ def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS):
     return {
         "n": int(y.size),
         "sites": list(site_names),
-        "K": plan.K,
+        "K": len(site_names),
         "taus": list(taus),
         "assumption": AIRQ_ASSUMPTION,
         "beta_full": np.asarray(model_full.beta, dtype=float).tolist(),

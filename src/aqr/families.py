@@ -119,17 +119,6 @@ class WeightFamily:
             return f"{self.kind}({sched})"
         return self.kind
 
-    def to_json(self):
-        """Serialize as {kind, a?, schedule?}; escape hatches do not serialize."""
-        if self.kind == "tabulated" or callable(self.schedule):
-            raise DomainError("test-only families are not serializable")
-        out = {"kind": self.kind}
-        if self.kind == "ges":
-            out["a"] = self.a
-        if self.kind in ("ge", "tcrm"):
-            out["schedule"] = self.schedule
-        return out
-
     @classmethod
     def from_json(cls, obj):
         allowed = {"kind", "a", "schedule"}

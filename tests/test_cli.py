@@ -427,6 +427,40 @@ def test_airquality_cli(tmp_path):
     assert (tmp_path / "airquality_deviation.csv").exists()
 
 
+AIR_HEADER = b"station,year,month,day,hour,PM2.5,TEMP,PRES,DEWP,WSPM\n"
+AIR_ROW = b"north,2016,12,1,6,40.0,-1.5,1020.0,-9.0,2.1\n"
+
+
+@pytest.mark.parametrize("command, name, data, message, row", [
+    ("risk", "u.csv", b"r\n\xff\n1\n", "parse error: byte 0xff is not", 2),
+    ("risk", "big.csv", b"r\n" + b"x" * 140_000 + b"\n1\n",
+     "parse error: field larger than field limit", 2),
+    ("risk", "cfg.json", b'{"tau": 0.1\xff}', "config error:", None),
+    ("airquality", "air.csv", AIR_HEADER + AIR_ROW
+     + AIR_ROW.replace(b"2016", b"x"),
+     "parse error: non-numeric value 'x' in column year", 3),
+    ("airquality", "air.csv", AIR_HEADER + AIR_ROW
+     + AIR_ROW.replace(b"north", b"n\xffrth"),
+     "parse error: byte 0xff is not", 3),
+], ids=["csv-bytes", "csv-field-limit", "config-bytes", "airquality-year",
+        "airquality-bytes"])
+def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys,
+                                                    command, name, data,
+                                                    message, row):
+    path = tmp_path / name
+    path.write_bytes(data)
+    args = [command, str(path)]
+    if name == "cfg.json":
+        # the config is read first, so the data file is never opened
+        args = [command, str(tmp_path / "unread.csv"), "--config", str(path)]
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    if row is not None:
+        assert f"(row {row}" in err
+    assert not list(tmp_path.glob("*_run.json"))
+
+
 def test_module_entry_point_reports_version():
     out = subprocess.run([sys.executable, "-m", "aqr.cli", "--version"],
                          capture_output=True, text=True)

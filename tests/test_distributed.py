@@ -9,7 +9,8 @@ from aqr.distributed import (CommReport, ShardPlan, aae, default_rounds,
                              local_init, newton_round, partition,
                              run_distributed)
 from aqr.errors import DomainError, IllConditioned, PlanMismatch, ShapeMismatch
-from aqr.experiments import fit_sharded
+from aqr.experiments import (SIM2_K, SIM2_N, _rep_seed, _sim2_draw,
+                             fit_sharded)
 from aqr.kernel_cde import SQRT_2PI, Dataset, rule_bandwidth
 from aqr.single_index import (IndexModel, _gradient_parts, _newton_step,
                               _objective_parts, fit_full, normalize_beta,
@@ -26,7 +27,7 @@ def quadratic_data(seed, n=500):
 
 
 def even_plan(n, k):
-    return ShardPlan(k, (n // k,) * k)
+    return ShardPlan((n // k,) * k)
 
 
 def pilot_setup(seed, n=500, k=10):
@@ -35,17 +36,18 @@ def pilot_setup(seed, n=500, k=10):
     sub_idx = np.flatnonzero(data.shard_of == 0)
     z1 = data.X[sub_idx] @ normalize_beta(np.ones(2))
     h1 = rule_bandwidth(z1, 0.15)
-    beta0_hat = local_init(data, even_plan(n, k), h1)
+    beta0_hat = local_init(data, h1)
     h = rule_bandwidth(data.X @ beta0_hat, 0.15)
     return data, beta0_hat, h, h1
 
 
 def test_shard_plan_validation():
     with pytest.raises(DomainError):
-        ShardPlan(2, (3,))
+        ShardPlan(())
     with pytest.raises(DomainError):
-        ShardPlan(2, (1, 5))
-    assert even_plan(500, 10).n == 500
+        ShardPlan((1, 5))
+    plan = even_plan(500, 10)
+    assert plan.n == 500 and plan.K == 10
 
 
 @given(st.integers(min_value=2, max_value=10_000), st.integers(1, 200))
@@ -70,7 +72,7 @@ def test_partition_is_deterministic_and_exact():
     b = partition(data, plan, seed=42)
     assert np.array_equal(a.shard_of, b.shard_of)
     assert np.bincount(a.shard_of).tolist() == [50] * 10
-    single = partition(data, ShardPlan(1, (500,)), seed=7)
+    single = partition(data, ShardPlan((500,)), seed=7)
     assert np.array_equal(single.shard_of, np.zeros(500, dtype=int))
     with pytest.raises(PlanMismatch):
         partition(data, even_plan(400, 8), seed=0)
@@ -94,10 +96,9 @@ def test_default_rounds_formula():
 
 def test_local_init_k1_equals_full_fit():
     data = quadratic_data(3, n=120)
-    plan = ShardPlan(1, (120,))
-    labeled = partition(data, plan, seed=0)
+    labeled = partition(data, ShardPlan((120,)), seed=0)
     h1 = rule_bandwidth(data.X @ normalize_beta(np.ones(2)), 0.15)
-    got = local_init(labeled, plan, h1)
+    got = local_init(labeled, h1)
     want = fit_full(Dataset(data.y, data.X), h1,
                     normalize_beta(np.ones(2))).beta
     assert np.array_equal(got, want)
@@ -113,7 +114,7 @@ def test_local_init_degenerate_shard_raises():
     x = np.ones((8, 2))
     data = Dataset(y, x, np.repeat([0, 1], 4))
     with pytest.raises(IllConditioned):
-        local_init(data, ShardPlan(2, (4, 4)), 0.4)
+        local_init(data, 0.4)
 
 
 def test_distributed_gradient_matches_pooled_bit_for_bit():
@@ -226,12 +227,11 @@ def test_pair_sums_match_matmul_reference(k):
 
 
 def test_newton_round_k1_is_undamped_full_step():
-    data = partition(quadratic_data(8, n=150), ShardPlan(1, (150,)), seed=1)
+    data = partition(quadratic_data(8, n=150), ShardPlan((150,)), seed=1)
     h = rule_bandwidth(data.X @ normalize_beta(np.ones(2)), 0.15)
     beta = normalize_beta(np.array([1.0, 0.8]))
     comm = CommReport()
-    out = newton_round(data, ShardPlan(1, (150,)), IndexModel(beta, h), h,
-                       comm)
+    out = newton_round(data, IndexModel(beta, h), h, comm)
     grad = psis_gradient(data, beta, h)
     hess = psis_hessian(Dataset(data.y, data.X), beta, h)
     want = normalize_beta(beta - _newton_step(hess, grad))
@@ -249,8 +249,7 @@ def test_newton_round_usually_improves_pilot():
     after = []
     for seed in range(30):
         data, beta0_hat, h, h1 = pilot_setup(seed)
-        out = newton_round(data, even_plan(500, 10),
-                           IndexModel(beta0_hat, h), h1, CommReport())
+        out = newton_round(data, IndexModel(beta0_hat, h), h1, CommReport())
         before.append(aae(beta0_hat, BETA0))
         after.append(aae(out.beta, BETA0))
         wins += after[-1] < before[-1]
@@ -260,8 +259,7 @@ def test_newton_round_usually_improves_pilot():
 
 def test_run_distributed_tracks_full_fit():
     data, beta0_hat, h, h1 = pilot_setup(2)
-    model, comm = run_distributed(data, even_plan(500, 10), None, h, h1,
-                                  beta0_hat)
+    model, comm = run_distributed(data, None, h, h1, beta0_hat)
     full = fit_full(Dataset(data.y, data.X), h, normalize_beta(np.ones(2)))
     assert np.linalg.norm(model.beta - full.beta) < 0.05
     assert len(comm.rounds) == default_rounds(500, 50, h1.h)
@@ -269,9 +267,8 @@ def test_run_distributed_tracks_full_fit():
 
 def test_fit_sharded_is_the_pilot_setup_recipe():
     data, beta0_hat, h, h1 = pilot_setup(4)
-    want, want_comm = run_distributed(data, even_plan(500, 10), None, h, h1,
-                                      beta0_hat)
-    model, comm, pilot, got_h1 = fit_sharded(data, ShardPlan.even(500, 10))
+    want, want_comm = run_distributed(data, None, h, h1, beta0_hat)
+    model, comm, pilot, got_h1 = fit_sharded(data)
     assert np.array_equal(model.beta, want.beta)
     assert np.array_equal(pilot, beta0_hat)
     assert np.array_equal(got_h1.h, h1.h)
@@ -281,12 +278,10 @@ def test_fit_sharded_is_the_pilot_setup_recipe():
 
 def test_run_distributed_k1_reproduces_manual_rounds():
     n, rounds = 150, 3
-    plan = ShardPlan(1, (n,))
-    data = partition(quadratic_data(9, n=n), plan, seed=0)
+    data = partition(quadratic_data(9, n=n), ShardPlan((n,)), seed=0)
     h1 = rule_bandwidth(data.X @ normalize_beta(np.ones(2)), 0.15)
-    model, comm = run_distributed(data, plan, rounds, h1, h1,
-                                  local_init(data, plan, h1))
-    beta = local_init(data, plan, h1)
+    model, comm = run_distributed(data, rounds, h1, h1, local_init(data, h1))
+    beta = local_init(data, h1)
     sub = Dataset(data.y, data.X)
     for _ in range(rounds):
         grad = psis_gradient(data, beta, h1)
@@ -300,8 +295,7 @@ def test_comm_accounting_is_gradient_sized():
     n, k, p = 200, 4, 2
     data = partition(quadratic_data(11, n=n), even_plan(n, k), seed=3)
     h = rule_bandwidth(data.X @ normalize_beta(np.ones(2)), 0.15)
-    model, comm = run_distributed(data, even_plan(n, k), 2, h, h,
-                                  local_init(data, even_plan(n, k), h))
+    model, comm = run_distributed(data, 2, h, h, local_init(data, h))
     per_round = k * p + p + 2 * k
     for entry in comm.rounds:
         assert entry.scalars_sent == per_round
@@ -316,14 +310,54 @@ def test_comm_accounting_is_gradient_sized():
     assert payload["total"] == comm.total
 
 
-def test_run_distributed_rejects_unpartitioned_data():
-    data = quadratic_data(1, n=100)
-    with pytest.raises(PlanMismatch):
-        run_distributed(data, even_plan(100, 4), 1, 0.5, 0.5, BETA0)
+def test_comm_tally_on_sim2_design():
+    # the benchmark's message check on sim2's first fit: the tally is
+    # rounds * (K*p + p + 2K), with K counted from the labels
+    rng = np.random.default_rng(_rep_seed(1, 0, 0))
+    y, X = _sim2_draw(rng, SIM2_N)
+    data = partition(Dataset(y, X), ShardPlan.even(SIM2_N, SIM2_K),
+                     seed=_rep_seed(1, 1, 0))
+    _, comm, _, _ = fit_sharded(data)
+    K, p = np.unique(data.shard_of).size, data.p
+    assert K == SIM2_K
+    assert comm.total == len(comm.rounds) * (K * p + p + 2 * K)
+    assert comm.setup_scalars == (K - 1) * data.n
+
+
+@pytest.mark.parametrize("labels", [
+    [0] + [1] * 9,             # central shard with one row
+    [1] * 10,                  # no central shard
+    [-1] * 2 + [0] * 8,        # a label below the central one
+    [0] * 5 + [1] * 4 + [2],   # a worker shard with one row
+])
+def test_shard_labels_need_central_shard_and_two_rows_each(labels):
+    data = quadratic_data(1, n=10)
+    data = Dataset(data.y, data.X, labels)
+    h = 0.5
+    with pytest.raises(DomainError):
+        local_init(data, h)
+    with pytest.raises(DomainError):
+        newton_round(data, IndexModel(BETA0, h), h, CommReport())
+    with pytest.raises(DomainError):
+        run_distributed(data, 1, h, h, BETA0)
+
+
+def test_unlabelled_data_runs_as_one_shard():
+    data = quadratic_data(12, n=120)
+    model, comm, pilot, h1 = fit_sharded(data)
+    want, want_comm, want_pilot, want_h1 = fit_sharded(
+        partition(data, ShardPlan((data.n,)), seed=5))
+    assert np.array_equal(model.beta, want.beta)
+    assert np.array_equal(pilot, want_pilot)
+    assert model.h == want.h and h1 == want_h1
+    assert comm == want_comm
+    # K = 1: no setup traffic, and K*p + p + 2K scalars a round
+    assert comm.setup_scalars == 0
+    assert all(r.scalars_sent == 2 * data.p + 2 for r in comm.rounds)
 
 
 def test_run_distributed_validates_pilot_direction():
     data = partition(quadratic_data(1, n=100), even_plan(100, 4), seed=0)
     for pilot in (np.array([1.0, 1.0]), np.array([-1.0, 0.0])):
         with pytest.raises(DomainError):
-            run_distributed(data, even_plan(100, 4), 1, 0.5, 0.5, pilot)
+            run_distributed(data, 1, 0.5, 0.5, pilot)

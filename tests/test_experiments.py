@@ -324,6 +324,18 @@ def test_run_airquality_rejects_constant_covariate():
         run_airquality(y, X, shard_of, names, taus=(0.5,))
 
 
+@pytest.mark.parametrize("site", [0, 2])
+def test_run_airquality_rejects_a_site_with_one_day(site):
+    # the central site (0) and a worker site alike: the labels' rule runs
+    # before the central bandwidth, so the message names it
+    rng = np.random.default_rng(6)
+    y, X, shard_of, names, _ = _planted_site_data(rng)
+    shard_of[shard_of == site] = 1
+    shard_of[site * 30] = site
+    with pytest.raises(DomainError, match="two rows per shard"):
+        run_airquality(y, X, shard_of, names, taus=(0.5,))
+
+
 def test_run_portfolio_report_shape():
     rng = np.random.default_rng(8)
     base = rng.normal(0.001, 0.01, 60)

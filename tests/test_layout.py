@@ -12,8 +12,11 @@ fits cannot drift from the studies: cli.py may not call its pieces. The
 telescoped reduction of a step CDF under a weight family belongs to
 estimator._telescope, so experiments.py may not apply G itself. cli.py
 parses numbers in one place, its CSV reader, so no command can read a file
-by other rules. Last, the package's export list must name each public
-object once and resolve.
+by other rules. The Dataset's shard labels are the one record of the
+sharding, so in distributed.py and experiments.py no function but partition
+may take a `plan` argument: a plan beside the labels would be a second
+record that has to agree with them. Last, the package's export list must
+name each public object once and resolve.
 """
 
 import ast
@@ -75,6 +78,21 @@ def test_cli_parses_numbers_only_in_its_csv_reader():
              if name in ("loadtxt", "float")
              and not reader.lineno <= line <= reader.end_lineno]
     assert calls == []
+
+
+@pytest.mark.parametrize("module", ["distributed.py", "experiments.py"])
+def test_only_partition_takes_a_shard_plan(module):
+    path = Path(aqr.__file__).parent / module
+    takers = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            names = [arg.arg for arg in a.posonlyargs + a.args
+                     + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
+            if "plan" in names and getattr(node, "name", None) != "partition":
+                takers.append(f"{module}:{node.lineno}")
+    assert takers == []
 
 
 def test_package_exports_are_unique_and_resolve():
