@@ -13,7 +13,7 @@ from .sample_risk import (CoherenceReport, aqr_sample, coherence_check,
                           risk_sample)
 from .kernel_cde import (Dataset, Bandwidth, StepCDF, cde_eval, cde_curve,
                          index_cde_eval, index_cde_grad, cv_bandwidth,
-                         rule_bandwidth, default_bandwidth_grid, reduce_fsum)
+                         rule_bandwidth, default_bandwidth_grid)
 from .estimator import AqrEstimate, aqr_conditional, aqr_profile, rpad
 from .single_index import (IndexModel, normalize_beta, psis_objective,
                            psis_gradient, psis_hessian, fit_full)
@@ -33,7 +33,7 @@ __all__ = [
     "CoherenceReport", "aqr_sample", "coherence_check", "risk_sample",
     "Dataset", "Bandwidth", "StepCDF", "cde_eval", "cde_curve",
     "index_cde_eval", "index_cde_grad", "cv_bandwidth", "rule_bandwidth",
-    "default_bandwidth_grid", "reduce_fsum",
+    "default_bandwidth_grid",
     "AqrEstimate", "aqr_conditional", "aqr_profile", "rpad",
     "IndexModel", "normalize_beta", "psis_objective", "psis_gradient",
     "psis_hessian", "fit_full",

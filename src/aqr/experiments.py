@@ -19,8 +19,8 @@ from .errors import DomainError, ParseError
 from .estimator import _telescope, aqr_conditional, rpad
 from .families import (WeightFamily, _tau, es, exp_spectral, extremile, ge,
                        ges, qr_dirac, tabulated, tcrm, validate_c1)
-from .kernel_cde import (Dataset, _YSorted, _as_bandwidth, cde_curve,
-                         cv_bandwidth, rule_bandwidth)
+from .kernel_cde import (_BLOCK_CELLS, Dataset, _YSorted, _as_bandwidth,
+                         cde_curve, cv_bandwidth, rule_bandwidth)
 from .oracle import (beta_dist, exponential, frechet_limit_ratio, normal,
                      population_aqr, quantile, student_t, uniform)
 from .portfolio import evaluate, optimize_weights
@@ -361,7 +361,6 @@ def _sim2_rep(args):
         "aae_de": aae(model_de.beta, SIM2_BETA0),
         "aae_pilot": aae(beta0, SIM2_BETA0),
         "rounds": len(comm.rounds),
-        "scalars": comm.total,
         "est_all": _index_estimates(y, X, model_all.beta, taus),
         "est_de": _index_estimates(y, X, model_de.beta, taus),
     }
@@ -372,9 +371,9 @@ def run_sim2(master_seed=1, reps=30, n=SIM2_N, K=SIM2_K, taus=SIM2_TAUS,
     """Replicated pooled-versus-distributed study on the quadratic index model.
 
     Reports mean and sd of the absolute parameter error for both fits, the
-    per-cell RPAD table on the fitted index at the probe point, and the
-    communication totals. With K=1 the report adds the gap between the
-    distributed fit and the same Newton path replayed on pooled data.
+    per-cell RPAD table on the fitted index at the probe point, and each
+    distributed fit's round count. With K=1 the report adds the gap between
+    the distributed fit and the same Newton path replayed on pooled data.
     """
     taus = tuple(float(t) for t in taus)
     tasks = [(int(master_seed), rep, int(n), int(K), taus)
@@ -407,7 +406,6 @@ def run_sim2(master_seed=1, reps=30, n=SIM2_N, K=SIM2_K, taus=SIM2_TAUS,
         "aae": {"all": _stats("aae_all"), "de": _stats("aae_de"),
                 "pilot": _stats("aae_pilot")},
         "rounds": [r["rounds"] for r in results],
-        "scalars_per_rep": [r["scalars"] for r in results],
         "rpad": rpad_rows,
     }
     if int(K) == 1:
@@ -552,9 +550,11 @@ def average_aqr_values(y, z, h, families, taus):
     h = _as_bandwidth(h).h
     ys = _YSorted(y, z)
     values = np.empty((len(families), len(ts), y.size))
-    for rows in ys.blocks(np.arange(y.size)):
-        levels = ys.staircase(np.exp(-0.5 * (ys.diff(rows) / h) ** 2))
-        levels /= levels[:, -1:]
+    # _BLOCK_CELLS level cells (rows x knots) per block; on tied y, at most
+    # 1 MiB per kernel array (rows x n)
+    size = max(1, min(_BLOCK_CELLS // ys.knots.size, (1 << 17) // y.size))
+    for rows in ys.blocks(np.arange(y.size), size):
+        levels = ys.levels(ys.kernel(rows, h)[1])[2]
         for f, family in enumerate(families):
             for k, t in enumerate(ts):
                 values[f, k, rows] = _telescope(ys.knots, levels, family, t)[0]

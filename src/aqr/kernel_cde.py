@@ -2,21 +2,24 @@
 
 The conditioner is either a raw covariate (p = 1) or the single index X.beta.
 Estimates are Nadaraya-Watson ratios with a Gaussian kernel, so denominators
-never vanish. Every canonical kernel sum is accumulated with compensated
-summation, shard by shard in ascending worker-label order: a multi-shard
-computation that exchanges per-shard partial sums reproduces the
-single-machine numbers bit for bit because both run the identical reduction.
+never vanish. They sum over all rows at once; only the index criterion in
+single_index folds by shard.
 
 _YSorted owns the y order: it is the one place that sorts y, finds its tie
 runs and cuts the rows into blocks. Sorted by y, the indicator matrix
 I(y_l <= y_j) is a staircase, so the kernel-weighted CDF of a block of rows at
 every y_j is a cumulative sum along each row, read at the last position of
-each tie run, and memory stays O(block * n). Bandwidth cross-validation, the
-average-estimate table and the single-index pair sums all run on its blocks,
-each with its own per-block arithmetic. A whole curve walks the rows once in
-its y order and keeps each shard's running sums exactly, as integer prefix
-sums of the weights scaled by 2^1074, so every level is the real number the
-masked compensated sum rounds.
+each tie run, and memory stays O(block * n). Three paths compute that CDF,
+each for its own use:
+
+* _YSorted.kernel and levels: every row's CDF at every knot, for the
+  average-estimate table and the single-index pair sums.
+* cde_eval and cde_curve: the exact reference at an arbitrary probe, with
+  phi(t)/h weights. A curve keeps its running sums exactly, as integer
+  prefix sums of the weights scaled by 2^1074, so every level is the real
+  number the masked compensated sum rounds.
+* _cv_scores: leave-one-out, with each row's weights shifted by its nearest
+  distance so that every bandwidth shares the squared distances.
 """
 
 import itertools
@@ -141,11 +144,6 @@ class StepCDF:
         return float(out) if out.ndim == 0 else out
 
 
-def reduce_fsum(values, slices):
-    """Compensated sum of `values` per shard slice, then across shards."""
-    return math.fsum(math.fsum(values[idx]) for idx in slices)
-
-
 def _kernel_weights(z, z0, h):
     """Scaled distances t = (z - z0)/h and weights phi(t)/h; raises
     KernelUnderflow when every weight vanishes."""
@@ -193,11 +191,23 @@ class _YSorted:
         """z_l - z_i for the rows i against the sorted rows l."""
         return self.zs[None, :] - self.z[rows, None]
 
+    def kernel(self, rows, h):
+        """u = (z_l - z_i)/h for the rows i against the sorted rows l, and
+        exp(-u^2/2), the weight phi(u)/h times sqrt(2 pi) h."""
+        u = self.diff(rows) / h
+        return u, np.exp(-0.5 * u * u)
+
     def staircase(self, k):
         """Cumulative sums of k along the sorted rows, read at the last
         position of each tie run; the last column holds the row totals."""
         stairs = np.cumsum(k, axis=-1)
         return stairs[..., self.ends] if self.ties else stairs
+
+    def levels(self, e):
+        """The staircase num of weights e, row totals s2 and levels num/s2."""
+        num = self.staircase(e)
+        s2 = num[:, -1]
+        return num, s2, num / s2[:, None]
 
     def indicator(self, rows):
         """I(y_i <= y_j) for the rows i against the tie runs j."""
@@ -231,28 +241,23 @@ def cde_eval(data, h, x0, y0):
     h = _as_bandwidth(h)
     z, _ = _conditioner(data)
     w = _kernel_weights(z, float(x0), h.h)[1]
-    slices = data.shard_slices()
-    den = reduce_fsum(w, slices)
-    num = math.fsum(math.fsum(w[idx][data.y[idx] <= y0]) for idx in slices)
-    return num / den
+    return math.fsum(w[data.y <= y0]) / math.fsum(w)
 
 
 def cde_curve(data, h, x0):
     """F-hat(. | x0) evaluated at every distinct y, as a StepCDF.
 
     Every double is an integer multiple of 2^-1074, so each weight scales to
-    a Python int, and one pass over the rows in y order keeps each shard's
-    running sums exactly as integer prefix sums. Dividing such a sum by
-    2^1074 rounds it correctly, as math.fsum rounds the masked sum; at a
-    knot, a level is the compensated sum of those shard sums in ascending
-    label order over the same denominator. Those are the numbers cde_eval's
+    a Python int, and one pass over the rows in y order keeps the running
+    sums exactly as integer prefix sums. Dividing such a sum by 2^1074
+    rounds it correctly, as math.fsum rounds the masked sum, and a level is
+    the prefix at its knot over the total. Those are the numbers cde_eval's
     masked sums produce, so the two agree exactly at the knots, and the top
     level is exactly 1.
     """
     h = _as_bandwidth(h)
     z, _ = _conditioner(data)
     w = _kernel_weights(z, float(x0), h.h)[1]
-    labels, shard = np.unique(data.shard_of, return_inverse=True)
     ys = _YSorted(data.y, z)
     # w = mantissa * 2^(exponent - 1075) for a normal double, and
     # fraction * 2^-1074 for a subnormal one (biased exponent 0)
@@ -261,18 +266,9 @@ def cde_curve(data, h, x0):
     mantissa = ((bits & np.uint64((1 << 52) - 1))
                 | ((biased > 0) << np.uint64(52)))
     shift = np.maximum(biased, np.uint64(1)) - np.uint64(1)
-    scaled = list(map(operator.lshift, mantissa.tolist(), shift.tolist()))
-    member = shard[ys.order] == np.arange(labels.size)[:, None]
-    # rows of each shard up to each knot
-    taken = ys.staircase(member)
-    sums = []
-    for k in range(labels.size):
-        part = itertools.compress(scaled, member[k].tolist())
-        prefix = [0.0] + [s / _ULP_SCALE for s in itertools.accumulate(part)]
-        sums.append(np.array(prefix)[taken[k]].tolist())
-    den = math.fsum(s[-1] for s in sums)
-    levels = np.array(list(map(math.fsum, zip(*sums)))) / den
-    return StepCDF(knots=ys.knots, levels=levels)
+    scaled = map(operator.lshift, mantissa.tolist(), shift.tolist())
+    prefix = np.array([s / _ULP_SCALE for s in itertools.accumulate(scaled)])
+    return StepCDF(knots=ys.knots, levels=prefix[ys.ends] / prefix[-1])
 
 
 def index_cde_eval(data, beta, h, x0, y0):
@@ -282,7 +278,7 @@ def index_cde_eval(data, beta, h, x0, y0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (data.p,):
         raise ShapeMismatch(f"x0 must have length {data.p}, got {x0.shape}")
-    proj = Dataset(data.y, z[:, None], shard_of=data.shard_of)
+    proj = Dataset(data.y, z[:, None])
     return cde_eval(proj, h, float(x0 @ beta), y0)
 
 
@@ -296,15 +292,14 @@ def index_cde_grad(data, beta, h, x0, y0):
     t, w = _kernel_weights(z, float(x0 @ beta), h.h)
     dw = _dphi(t) / (h.h * h.h)
     Xc = data.X - x0
-    slices = data.shard_slices()
     mask = data.y <= y0
-    s1 = math.fsum(math.fsum(w[idx][mask[idx]]) for idx in slices)
-    s2 = reduce_fsum(w, slices)
+    s1 = math.fsum(w[mask])
+    s2 = math.fsum(w)
     grad = np.empty(data.p)
     for m in range(data.p):
         col = dw * Xc[:, m]
-        s4 = reduce_fsum(col, slices)
-        s3 = math.fsum(math.fsum(col[idx][mask[idx]]) for idx in slices)
+        s3 = math.fsum(col[mask])
+        s4 = math.fsum(col)
         grad[m] = s3 / s2 - s1 * s4 / (s2 * s2)
     return grad
 

@@ -7,20 +7,21 @@ conditional CDF of y_j at the index of observation i. Objective, gradient,
 and Hessian are analytic in beta.
 
 No pair sum forms the n x n indicator. kernel_cde._YSorted owns the y order,
-the tie runs and the row blocks, and turns the indicator into a staircase of
-cumulative kernel sums; this module adds only the index: beta, the
-bandwidth, the y-sorted covariate offsets and the kernel. On the staircase,
-sum_j r_ij I(y_l <= y_j) is a reverse cumulative sum over the runs. The
-evaluation rows go in blocks of a fixed number of kernel cells, so memory is
-O(block * n * p) and work O(n^2 p) per call.
+the tie runs, the row blocks, the kernel and the in-sample CDF levels, and
+turns the indicator into a staircase of cumulative kernel sums; this module
+adds only the index: beta, the bandwidth and the y-sorted covariate
+offsets. On the staircase, sum_j r_ij I(y_l <= y_j) is a reverse cumulative
+sum over the runs. The evaluation rows go in blocks of a fixed number of
+kernel cells, so memory is O(block * n * p) and work O(n^2 p) per call.
 
-Pair sums are grouped by shard and combined in ascending worker-label order
-with compensated summation. Each row's sums are numpy reductions along that
-row alone, and a shard's part is the compensated sum of its rows, so it
-depends neither on the blocks nor, for untied y, on the row order within the
-shard. A distributed run that ships per-shard partials to a central machine
-therefore reproduces the pooled numbers bit for bit, because both paths call
-the identical helpers in the identical order.
+_fold_by_shard is the package's only shard-ordered reduction: the objective
+and gradient pair sums are grouped by shard and combined in ascending
+worker-label order with compensated summation. Each row's sums are numpy
+reductions along that row alone, and a shard's part is the compensated sum
+of its rows, so it depends neither on the blocks nor, for untied y, on the
+row order within the shard. A distributed run that ships per-shard partials
+to a central machine therefore reproduces the pooled numbers bit for bit,
+because both paths call the identical helpers in the identical order.
 """
 
 import math
@@ -75,7 +76,13 @@ def normalize_beta(beta):
 
 
 class _IndexSorted(_YSorted):
-    """The y-sorted observations at one beta, with the index kernel."""
+    """The y-sorted observations at one beta, with the bandwidth and the
+    covariate offsets.
+
+    The kernel weights drop phi's factor 1/(sqrt(2 pi) h), which cancels
+    from every ratio in the criterion, so the derivatives are taken on the
+    same scale: -u exp(-u^2/2)/h and (u^2 - 1) exp(-u^2/2)/h^2.
+    """
 
     def __init__(self, data, beta, h):
         beta = np.asarray(beta, dtype=float)
@@ -87,18 +94,6 @@ class _IndexSorted(_YSorted):
         self.X = data.X
         self.xs = np.ascontiguousarray(data.X[self.order].T)
 
-    def kernel(self, rows):
-        """u_il = (z_l - z_i)/h for the rows i against the sorted rows l,
-        and exp(-u^2/2).
-
-        exp(-u^2/2) is the weight phi(u)/h times sqrt(2 pi) h. The factor
-        cancels from every ratio in the criterion, so the derivatives are
-        taken on the same scale: -u exp(-u^2/2)/h and
-        (u^2 - 1) exp(-u^2/2)/h^2.
-        """
-        u = self.diff(rows) / self.h
-        return u, np.exp(-0.5 * u * u)
-
     def offsets(self, rows):
         """x_lm - x_im, shape (p, rows, n): the chain-rule factor of beta_m."""
         return self.xs[:, None, :] - self.X[rows].T[:, :, None]
@@ -106,14 +101,13 @@ class _IndexSorted(_YSorted):
 
 def _residuals(ys, rows, e):
     """Level sums, their totals s2 and the pair residuals of the rows."""
-    num = ys.staircase(e)
-    s2 = num[:, -1]
-    return num, s2, ys.indicator(rows) - num / s2[:, None]
+    num, s2, levels = ys.levels(e)
+    return num, s2, ys.indicator(rows) - levels
 
 
 def _objective_rows(ys, rows):
     """Each row's sum over j of its squared pair residual."""
-    _, e = ys.kernel(rows)
+    _, e = ys.kernel(rows, ys.h)
     resid = _residuals(ys, rows, e)[2]
     return ys.runs(resid * resid).sum(axis=1)
 
@@ -125,7 +119,7 @@ def _gradient_rows(ys, rows):
     sum_l dw_il/dbeta (mix_il/s2_i - sum_j r_ij num_ij/s2_i^2), where
     mix_il = sum_j r_ij I(y_l <= y_j).
     """
-    u, e = ys.kernel(rows)
+    u, e = ys.kernel(rows, ys.h)
     num, s2, resid = _residuals(ys, rows, e)
     resid = ys.runs(resid)
     psi = ys.reach(resid) / s2[:, None] \
@@ -133,29 +127,30 @@ def _gradient_rows(ys, rows):
     return (((e * u / -ys.h) * psi) * ys.offsets(rows)).sum(axis=2)
 
 
-def _objective_parts(data, beta, h):
-    """Raw per-shard sums of squared pair residuals, ascending shard label.
-
-    A shard's part is the compensated sum of its rows' sums, so it depends
-    neither on the row blocks nor, for untied y, on the row order.
-    """
+def _fold_by_shard(data, beta, h, row_sums):
+    """Compensated sums of row_sums(ys, rows), whose last axis runs over the
+    rows, per shard in ascending label order: one list per shard, one sum
+    per leading entry. A shard's sums depend neither on the row blocks nor,
+    for untied y, on the row order."""
     ys = _IndexSorted(data, beta, h)
     parts = []
     for idx in data.shard_slices():
-        rows = [_objective_rows(ys, b) for b in ys.blocks(idx)]
-        parts.append(math.fsum(np.concatenate(rows).tolist()))
+        sums = np.concatenate([row_sums(ys, b) for b in ys.blocks(idx)],
+                              axis=-1)
+        parts.append([math.fsum(s) for s in sums.reshape(-1, idx.size)
+                      .tolist()])
     return parts
+
+
+def _objective_parts(data, beta, h):
+    """Raw per-shard sums of squared pair residuals, ascending shard label."""
+    return [part[0] for part in _fold_by_shard(data, beta, h, _objective_rows)]
 
 
 def _gradient_parts(data, beta, h):
     """Raw per-shard gradient sums (unscaled), ascending shard label."""
-    ys = _IndexSorted(data, beta, h)
-    parts = []
-    for idx in data.shard_slices():
-        rows = np.concatenate([_gradient_rows(ys, b) for b in ys.blocks(idx)],
-                              axis=1)
-        parts.append(np.array([math.fsum(m) for m in rows.tolist()]))
-    return parts
+    return [np.array(part)
+            for part in _fold_by_shard(data, beta, h, _gradient_rows)]
 
 
 def _reduce_objective(parts, n):
@@ -191,7 +186,7 @@ def psis_hessian(data, beta, h):
     curv = np.zeros((p, p))
     mixed = np.zeros((p, p))
     for rows in ys.blocks(np.arange(data.n)):
-        u, e = ys.kernel(rows)
+        u, e = ys.kernel(rows, ys.h)
         num, s2, resid = _residuals(ys, rows, e)
         ss = s2 * s2
         dx = ys.offsets(rows)

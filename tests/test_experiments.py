@@ -125,7 +125,6 @@ def test_sim2_small_run_deterministic():
         assert 0.0 < stats["mean"] < 1.0
     assert len(out["rounds"]) == 2
     assert all(r >= 1 for r in out["rounds"])
-    assert all(s > 0 for s in out["scalars_per_rep"])
     assert len(out["rpad"]) == 5 * 1 * 2
     assert {r["method"] for r in out["rpad"]} == {"all", "de"}
     assert run_sim2(**kwargs, threads=2) == out
@@ -217,19 +216,23 @@ def test_average_aqr_values_over_row_blocks_matches_one_level_average():
 
 
 def test_average_aqr_values_memory_is_bounded_by_row_blocks():
-    # the n x n level matrix and its transforms peaked at 187 MiB here
-    rng = np.random.default_rng(41)
-    n = 2000
-    z = rng.normal(size=n)
-    y = z + rng.normal(size=n)
+    # the n x n level matrix and its transforms peaked at 187 MiB at
+    # n = 2000; on y rounded to ~90 knots, blocks sized by knots alone
+    # would span ~180 rows of n kernel cells each at n = 4000
     families = [qr_dirac()] + [fam for _, fam in study_families()]
-    tracemalloc.start()
-    try:
-        average_aqr_values(y, z, 0.3, families, AIRQ_TAUS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for n, decimals in ((2000, None), (4000, 1)):
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=n)
+        y = z + rng.normal(size=n)
+        if decimals is not None:
+            y = np.round(y, decimals)
+        tracemalloc.start()
+        try:
+            average_aqr_values(y, z, 0.3, families, AIRQ_TAUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 AIRQ_HEADER = ("station,year,month,day,hour,PM2.5,TEMP,PRES,DEWP,WSPM\n")

@@ -197,44 +197,47 @@ def test_grad_matches_finite_differences():
             assert g[m] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
-def test_shard_partials_reduce_bit_for_bit():
-    rng = np.random.default_rng(16)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_shard_partials_reduce_bit_for_bit(n_labels, decimals, seed):
+    # the estimators sum over all rows at once: on any shard labels they
+    # give their unlabelled numbers bit for bit, and those are the single
+    # compensated sums of the library's exact kernel expressions
+    rng = np.random.default_rng(seed)
     n, p = 30, 2
     X = rng.normal(size=(n, p))
-    y = rng.normal(size=n)
-    labels = rng.integers(0, 3, size=n)
+    y = np.round(rng.normal(size=n), decimals)
+    labels = rng.choice(rng.permutation(20)[:n_labels], size=n)
+    single = Dataset(y, X)
     full = Dataset(y, X, shard_of=labels)
     beta = np.array([0.8, -0.6])
-    x0 = np.array([0.1, 0.4])
+    x0 = rng.normal(size=p)
     h = Bandwidth(0.45)
-    y0 = 0.2
+    y0 = float(rng.choice(y))
 
-    # worker-side arithmetic: each shard computes compensated partial sums on
-    # its own rows with the library's exact kernel expressions; the
-    # coordinator folds them in ascending label order
     z = X @ beta
-    z0 = float(x0 @ beta)
-    t = (z - z0) / h.h
+    t = (z - float(x0 @ beta)) / h.h
     w = (np.exp(-0.5 * t * t) / SQRT_2PI) / h.h
     dw = (-t * np.exp(-0.5 * t * t) / SQRT_2PI) / (h.h * h.h)
-    Xc = X - x0
     mask = y <= y0
-    parts = {k: np.flatnonzero(labels == k) for k in (0, 1, 2)}
-    s1 = math.fsum(math.fsum(w[idx][mask[idx]]) for idx in parts.values())
-    s2 = math.fsum(math.fsum(w[idx]) for idx in parts.values())
+    s1, s2 = math.fsum(w[mask]), math.fsum(w)
     num_grad = []
     for m in range(p):
-        col = dw * Xc[:, m]
-        s4 = math.fsum(math.fsum(col[idx]) for idx in parts.values())
-        s3 = math.fsum(math.fsum(col[idx][mask[idx]]) for idx in parts.values())
-        num_grad.append(s3 / s2 - s1 * s4 / (s2 * s2))
+        col = dw * (X[:, m] - x0[m])
+        num_grad.append(math.fsum(col[mask]) / s2
+                        - s1 * math.fsum(col) / (s2 * s2))
 
+    assert index_cde_eval(single, beta, h, x0, y0) == s1 / s2
+    assert list(index_cde_grad(single, beta, h, x0, y0)) == num_grad
     assert index_cde_eval(full, beta, h, x0, y0) == s1 / s2
     assert list(index_cde_grad(full, beta, h, x0, y0)) == num_grad
 
-    # and identically on the unsharded dataset: one shard is a single fold
-    single = Dataset(y, X)
-    assert index_cde_eval(single, beta, h, x0, y0) == math.fsum(w[mask]) / math.fsum(w)
+    raw = Dataset(y, X[:, 0])
+    raw_full = Dataset(y, X[:, 0], shard_of=labels)
+    assert cde_eval(raw_full, h, x0[0], y0) == cde_eval(raw, h, x0[0], y0)
+    curve, want = cde_curve(raw_full, h, x0[0]), cde_curve(raw, h, x0[0])
+    assert np.array_equal(curve.knots, want.knots)
+    assert np.array_equal(curve.levels, want.levels)
 
 
 def test_cv_bandwidth_basics():

@@ -3,6 +3,8 @@
 A kernel CDF read at every observed y needs y sorted and its tie runs found.
 Those decisions live in kernel_cde._YSorted; a module that sorts y on its own
 would drift from it, so these modules may not call the sorting primitives.
+_YSorted also forms the Gaussian kernel weights and the in-sample CDF
+levels, so single_index.py and experiments.py may not call exp.
 Likewise the sample estimator's order-statistic weights come only from
 sample_risk.order_weights, so the portfolio objective cannot drift from
 risk_sample: portfolio.py may not evaluate the weight density itself. And
@@ -44,6 +46,14 @@ def test_module_takes_its_y_order_from_kernel_cde(module):
     path = Path(aqr.__file__).parent / module
     calls = [f"{module}:{line} {name}" for name, line in _called_names(path)
              if name in FORBIDDEN]
+    assert calls == []
+
+
+@pytest.mark.parametrize("module", ["single_index.py", "experiments.py"])
+def test_module_takes_its_kernel_from_kernel_cde(module):
+    path = Path(aqr.__file__).parent / module
+    calls = [f"{module}:{line} {name}" for name, line in _called_names(path)
+             if name == "exp"]
     assert calls == []
 
 
