@@ -1,12 +1,15 @@
 """Command line front end: config validation, CSV I/O, experiment dispatch.
 
-Every command resolves its config (defaults, then the --config file, then
-the --seed flag), validates it against a published JSON schema, runs one of
-the engines in experiments.py, and writes its tables as CSV plus a JSON run
-record carrying the command name, seed, config hash and package version.
-Outputs contain no timestamps, so a rerun with the same config and seed is
-byte-identical. Exit codes: 0 success, 1 a validation or analysis failure,
-2 a usage or I/O error.
+COMMANDS states each command once: its help, its input files, its config
+schema (each key's default is a JSON Schema `default` on the key) and its
+handler; the parser, SCHEMAS and DEFAULTS are read off it. Every command
+resolves its config (defaults, then the --config file, then the --seed
+flag) and checks it against its schema and the rules the engines own before
+any input is read, runs one of the engines in experiments.py, and writes
+its tables as CSV plus a JSON run record carrying the command name, seed,
+config hash and package version. Outputs contain no timestamps, so a rerun
+with the same config and seed is byte-identical. Exit codes: 0 success,
+1 a validation or analysis failure, 2 a usage, config or I/O error.
 """
 
 import argparse
@@ -16,6 +19,7 @@ import io
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -39,122 +43,27 @@ _FAMILY = {
                    "schedule": {"type": "string"}},
     "required": ["kind"],
     "additionalProperties": False,
+    "default": {"kind": "es"},
 }
 _SEED = {"type": "integer", "minimum": 0}
+_PRESET = {"enum": ["desk", "paper"], "default": "desk"}
+_REPS = {"type": "integer", "minimum": 1}
+_MODE = {"enum": ["normalized", "raw"], "default": "normalized"}
+_RATE_EXPONENT = {"type": "number", "exclusiveMinimum": 0,
+                  "exclusiveMaximum": 0.5, "default": ex.INDEX_RATE_EXPONENT}
 
-SCHEMAS = {
-    "validate": {
-        "type": "object",
-        "properties": {
-            "violators": {"type": "array", "items": {"type": "string"}},
-        },
-        "additionalProperties": False,
-    },
-    "compare": {
-        "type": "object",
-        "properties": {"taus": _TAU_LIST},
-        "additionalProperties": False,
-    },
-    "sim1": {
-        "type": "object",
-        "properties": {
-            "seed": _SEED,
-            "preset": {"enum": ["desk", "paper"]},
-            "reps": {"type": "integer", "minimum": 1},
-            "n": {"type": "integer", "minimum": 20},
-            "taus": _TAU_LIST,
-        },
-        "additionalProperties": False,
-    },
-    "sim2": {
-        "type": "object",
-        "properties": {
-            "seed": _SEED,
-            "preset": {"enum": ["desk", "paper"]},
-            "reps": {"type": "integer", "minimum": 1},
-            "n": {"type": "integer", "minimum": 20},
-            "K": {"type": "integer", "minimum": 1},
-            "taus": _TAU_LIST,
-        },
-        "additionalProperties": False,
-    },
-    "portfolio": {
-        "type": "object",
-        "properties": {
-            "family": _FAMILY,
-            "tau": _TAU_ITEM,
-            "starts": {"type": "integer", "minimum": 1},
-            "iterations": {"type": "integer", "minimum": 1},
-            "seed": _SEED,
-            "mode": {"enum": ["normalized", "raw"]},
-        },
-        "additionalProperties": False,
-    },
-    "airquality": {
-        "type": "object",
-        "properties": {
-            "taus": _TAU_LIST,
-            "winter": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "fit": {
-        "type": "object",
-        "properties": {
-            "bandwidth": {"type": "number", "exclusiveMinimum": 0},
-            "rate_exponent": {"type": "number", "exclusiveMinimum": 0,
-                              "exclusiveMaximum": 0.5},
-        },
-        "additionalProperties": False,
-        "not": {"required": ["bandwidth", "rate_exponent"]},
-    },
-    "dist-fit": {
-        "type": "object",
-        "properties": {
-            "K": {"type": "integer", "minimum": 1},
-            "sizes": {"type": "array",
-                      "items": {"type": "integer", "minimum": 2},
-                      "minItems": 1},
-            "rounds": {"type": "integer", "minimum": 1},
-            "seed": _SEED,
-            "rate_exponent": {"type": "number", "exclusiveMinimum": 0,
-                              "exclusiveMaximum": 0.5},
-        },
-        "additionalProperties": False,
-        "not": {"required": ["K", "sizes"]},
-    },
-    "risk": {
-        "type": "object",
-        "properties": {
-            "family": _FAMILY,
-            "tau": _TAU_ITEM,
-            "mode": {"enum": ["normalized", "raw"]},
-        },
-        "additionalProperties": False,
-    },
-}
 
-DEFAULTS = {
-    "validate": {"violators": []},
-    "compare": {"taus": list(ex.COMPARE_TAUS)},
-    "sim1": {"seed": 1, "preset": "desk", "n": ex.SIM1_N,
-             "taus": list(ex.SIM1_TAUS)},
-    "sim2": {"seed": 1, "preset": "desk", "n": ex.SIM2_N, "K": ex.SIM2_K,
-             "taus": list(ex.SIM2_TAUS)},
-    "portfolio": {"family": {"kind": "es"}, "tau": 0.05,
-                  "starts": DEFAULT_STARTS, "iterations": DEFAULT_ITERATIONS,
-                  "seed": 0, "mode": "normalized"},
-    "airquality": {"taus": list(ex.AIRQ_TAUS), "winter": True},
-    "fit": {"rate_exponent": ex.INDEX_RATE_EXPONENT},
-    "dist-fit": {"K": 2, "rounds": None, "seed": 0,
-                 "rate_exponent": ex.INDEX_RATE_EXPONENT},
-    "risk": {"family": {"kind": "es"}, "tau": 0.05, "mode": "normalized"},
-}
+def _taus(default):
+    return {**_TAU_LIST, "default": list(default)}
 
-PRESET_REPS = {
-    "sim1": {"desk": 100, "paper": 500},
-    "sim2": {"desk": 30, "paper": 100},
-}
+
+def _object(exclusive=None, **properties):
+    """A config schema over the named keys; at most one of `exclusive`."""
+    schema = {"type": "object", "properties": properties,
+              "additionalProperties": False}
+    if exclusive:
+        schema["not"] = {"required": list(exclusive)}
+    return schema
 
 
 def config_schema(command):
@@ -163,27 +72,35 @@ def config_schema(command):
 
 
 def _resolve_config(args):
-    command = args.command
-    config = dict(DEFAULTS[command])
+    """Defaults, then the --config file, then the --seed flag, checked by
+    the code that owns each rule, so a bad config fails before any input is
+    read. The family is built here, once, and handed on as args.family."""
+    command = COMMANDS[args.command]
+    config = dict(DEFAULTS[args.command])
     if args.config:
         with open(args.config) as fh:
             user = json.load(fh)
         # jsonschema.validate without its check_schema pass, which re-checks
         # our constant schemas on every call; the tests check them once.
-        schema = SCHEMAS[command]
+        schema = command.schema
         error = best_match(validator_for(schema)(schema).iter_errors(user))
         if error is not None:
             raise error
         config.update(user)
-        # an explicit value fixes what a default would contradict: shard
-        # sizes fix K, and a fixed bandwidth needs no rate exponent
-        for key, default in (("sizes", "K"), ("bandwidth", "rate_exponent")):
+        # of an exclusive pair (sizes or K, bandwidth or rate_exponent), the
+        # key the file sets drops the other's default
+        pair = schema.get("not", {}).get("required", [])
+        for key, other in zip(pair, pair[::-1]):
             if key in user:
-                del config[default]
-    if command in PRESET_REPS and "reps" not in config:
-        config["reps"] = PRESET_REPS[command][config["preset"]]
+                config.pop(other, None)
+    if command.preset_reps and "reps" not in config:
+        config["reps"] = command.preset_reps[config["preset"]]
     if args.seed is not None and "seed" in config:
         config["seed"] = args.seed
+    if "family" in config:
+        args.family = WeightFamily.from_json(config["family"])
+    if "n" in config and "K" in config:  # sim2: two or more rows per shard
+        ShardPlan.even(config["n"], config["K"])
     return config
 
 
@@ -215,6 +132,11 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_records(path, columns, records):
+    """One CSV row per record dict, its values in the order of columns."""
+    _write_csv(path, columns, ([r[c] for c in columns] for r in records))
 
 
 def _write_run(args, config, report, outputs):
@@ -327,12 +249,9 @@ def _cmd_validate(args, config):
 def _cmd_compare(args, config):
     out = ex.run_compare(taus=config["taus"])
     name = "compare.csv"
-    _write_csv(os.path.join(args.out, name),
-               ["distribution", "domain", "family", "tau", "value",
-                "quantile", "limit_ratio"],
-               [[r["distribution"], r["domain"], r["family"], r["tau"],
-                 r["value"], r["quantile"], r["limit_ratio"]]
-                for r in out["rows"]])
+    _write_records(os.path.join(args.out, name),
+                   ["distribution", "domain", "family", "tau", "value",
+                    "quantile", "limit_ratio"], out["rows"])
     report = {"rows": len(out["rows"]), "violations": out["violations"]}
     return (0 if not out["violations"] else 1), report, [name]
 
@@ -342,11 +261,9 @@ def _cmd_sim1(args, config):
                       n=config["n"], taus=config["taus"],
                       threads=args.threads)
     name = "sim1.csv"
-    _write_csv(os.path.join(args.out, name),
-               ["error", "family", "tau", "x0", "truth", "mean_rpad",
-                "sd_rpad"],
-               [[c["error"], c["family"], c["tau"], c["x0"], c["truth"],
-                 c["mean_rpad"], c["sd_rpad"]] for c in out["cells"]])
+    _write_records(os.path.join(args.out, name),
+                   ["error", "family", "tau", "x0", "truth", "mean_rpad",
+                    "sd_rpad"], out["cells"])
     report = {"n": out["n"], "reps": out["reps"],
               "worst_mean_rpad": max(c["mean_rpad"] for c in out["cells"])}
     return 0, report, [name]
@@ -361,10 +278,9 @@ def _cmd_sim2(args, config):
                ["method", "mean_aae", "sd_aae"],
                [[m, out["aae"][m]["mean"], out["aae"][m]["sd"]]
                 for m in ("all", "de", "pilot")])
-    _write_csv(os.path.join(args.out, rpad_name),
-               ["family", "tau", "method", "truth", "mean_rpad", "sd_rpad"],
-               [[r["family"], r["tau"], r["method"], r["truth"],
-                 r["mean_rpad"], r["sd_rpad"]] for r in out["rpad"]])
+    _write_records(os.path.join(args.out, rpad_name),
+                   ["family", "tau", "method", "truth", "mean_rpad",
+                    "sd_rpad"], out["rpad"])
     report = {k: out[k] for k in ("n", "K", "reps", "aae", "rounds")}
     if "k1_newton_path_gap" in out:
         report["k1_newton_path_gap"] = out["k1_newton_path_gap"]
@@ -377,9 +293,9 @@ def _cmd_portfolio(args, config):
     header, table = _read_numeric_csv(args.test_csv)
     test_returns = ReturnsMatrix(table, labels=header)
     _, bench = _read_numeric_csv(args.bench_csv, column=True)
-    family = WeightFamily.from_json(config["family"])
-    report = ex.run_portfolio(fit_returns, test_returns, bench[:, 0], family,
-                              config["tau"], starts=config["starts"],
+    report = ex.run_portfolio(fit_returns, test_returns, bench[:, 0],
+                              args.family, config["tau"],
+                              starts=config["starts"],
                               iterations=config["iterations"],
                               seed=config["seed"], mode=config["mode"])
     name = "portfolio.json"
@@ -414,9 +330,7 @@ def _cmd_fit(args, config):
     header, data = _load_xy_csv(args.data_csv)
     model = ex.fit_pooled(data, config.get("rate_exponent"),
                           config.get("bandwidth"))
-    report = dict(model.to_json())
-    report["covariates"] = header[1:]
-    report["response"] = header[0]
+    report = dict(model.to_json(), covariates=header[1:], response=header[0])
     name = "fit.json"
     _write_json(os.path.join(args.out, name), report)
     return 0, report, [name]
@@ -440,33 +354,99 @@ def _cmd_dist_fit(args, config):
 
 def _cmd_risk(args, config):
     _, table = _read_numeric_csv(args.data_csv, column=True)
-    family = WeightFamily.from_json(config["family"])
     # risk_sample is omega(tau) times aqr_sample; one call sorts once
-    value = aqr_sample(table[:, 0], family, config["tau"], mode=config["mode"])
-    report = {
-        "risk": omega(config["tau"]) * value,
-        "value": value,
-        "n": len(table),
-        "family": family.label(),
-        "tau": config["tau"],
-        "mode": config["mode"],
-    }
+    value = aqr_sample(table[:, 0], args.family, config["tau"],
+                       mode=config["mode"])
+    report = {"risk": omega(config["tau"]) * value, "value": value,
+              "n": len(table), "family": args.family.label(),
+              "tau": config["tau"], "mode": config["mode"]}
     name = "risk.json"
     _write_json(os.path.join(args.out, name), report)
     return 0, report, [name]
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "compare": _cmd_compare,
-    "sim1": _cmd_sim1,
-    "sim2": _cmd_sim2,
-    "portfolio": _cmd_portfolio,
-    "airquality": _cmd_airquality,
-    "fit": _cmd_fit,
-    "dist-fit": _cmd_dist_fit,
-    "risk": _cmd_risk,
+class Command(NamedTuple):
+    """One subcommand: its help, its positional input files as (name, help)
+    pairs, its config schema (each key's default is the `default` of the
+    key's property), and its handler, which returns (exit code, report,
+    names of the files it wrote besides the run record)."""
+    help: str
+    inputs: list
+    schema: dict
+    run: Callable
+    preset_reps: dict = None
+
+
+_XY_CSV = [("data_csv", "first column response, rest covariates")]
+_VIOLATORS = [name for name, _ in ex.violator_families()]
+
+COMMANDS = {
+    "validate": Command(
+        "check the weight-family axioms on the built-in roster", [],
+        _object(violators={"type": "array", "default": [],
+                           "items": {"type": "string", "enum": _VIOLATORS}}),
+        _cmd_validate),
+    "compare": Command(
+        "population risk table across six distributions", [],
+        _object(taus=_taus(ex.COMPARE_TAUS)), _cmd_compare),
+    "sim1": Command(
+        "replicated one-covariate estimation study", [],
+        _object(seed={**_SEED, "default": 1}, preset=_PRESET, reps=_REPS,
+                n={"type": "integer", "minimum": 20, "default": ex.SIM1_N},
+                taus=_taus(ex.SIM1_TAUS)),
+        _cmd_sim1, preset_reps={"desk": 100, "paper": 500}),
+    "sim2": Command(
+        "replicated pooled-versus-distributed index study", [],
+        _object(seed={**_SEED, "default": 1}, preset=_PRESET, reps=_REPS,
+                n={"type": "integer", "minimum": 20, "default": ex.SIM2_N},
+                K={"type": "integer", "minimum": 1, "default": ex.SIM2_K},
+                taus=_taus(ex.SIM2_TAUS)),
+        _cmd_sim2, preset_reps={"desk": 30, "paper": 100}),
+    "portfolio": Command(
+        "optimize weights on a fit window, score on a test window",
+        [("fit_csv", "asset returns for the fit window"),
+         ("test_csv", "asset returns for the test window"),
+         ("bench_csv", "single-column benchmark returns")],
+        _object(family=_FAMILY, tau={**_TAU_ITEM, "default": 0.05},
+                starts={"type": "integer", "minimum": 1,
+                        "default": DEFAULT_STARTS},
+                iterations={"type": "integer", "minimum": 1,
+                            "default": DEFAULT_ITERATIONS},
+                seed={**_SEED, "default": 0}, mode=_MODE),
+        _cmd_portfolio),
+    "airquality": Command(
+        "site-sharded index study of a pollution table",
+        [("data_csv", "hourly or daily site records")],
+        _object(taus=_taus(ex.AIRQ_TAUS),
+                winter={"type": "boolean", "default": True}),
+        _cmd_airquality),
+    "fit": Command(
+        "fit the index model to a response-plus-covariates CSV", _XY_CSV,
+        _object(("bandwidth", "rate_exponent"),
+                bandwidth={"type": "number", "exclusiveMinimum": 0},
+                rate_exponent=_RATE_EXPONENT),
+        _cmd_fit),
+    "dist-fit": Command(
+        "sharded fit of the index model", _XY_CSV,
+        _object(("K", "sizes"),
+                K={"type": "integer", "minimum": 1, "default": 2},
+                sizes={"type": "array", "minItems": 1,
+                       "items": {"type": "integer", "minimum": 2}},
+                rounds={"type": "integer", "minimum": 1, "default": None},
+                seed={**_SEED, "default": 0}, rate_exponent=_RATE_EXPONENT),
+        _cmd_dist_fit),
+    "risk": Command(
+        "sample risk of a single return column",
+        [("data_csv", "single-column values")],
+        _object(family=_FAMILY, tau={**_TAU_ITEM, "default": 0.05},
+                mode=_MODE),
+        _cmd_risk),
 }
+SCHEMAS = {name: command.schema for name, command in COMMANDS.items()}
+DEFAULTS = {name: {key: prop["default"]
+                   for key, prop in schema["properties"].items()
+                   if "default" in prop}
+            for name, schema in SCHEMAS.items()}
 
 
 def build_parser():
@@ -478,9 +458,8 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        q = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        q = sub.add_parser(name, help=command.help)
         q.add_argument("--config", metavar="PATH",
                        help="JSON config file (schema-checked)")
         q.add_argument("--seed", metavar="U64", type=int,
@@ -489,25 +468,8 @@ def build_parser():
                        help="output directory (must exist)")
         q.add_argument("--threads", metavar="N", type=int, default=1,
                        help="worker processes for replicated runs")
-        return q
-
-    add("validate", "check the weight-family axioms on the built-in roster")
-    add("compare", "population risk table across six distributions")
-    add("sim1", "replicated one-covariate estimation study")
-    add("sim2", "replicated pooled-versus-distributed index study")
-    q = add("portfolio", "optimize weights on a fit window, score on a test "
-                         "window")
-    q.add_argument("fit_csv", help="asset returns for the fit window")
-    q.add_argument("test_csv", help="asset returns for the test window")
-    q.add_argument("bench_csv", help="single-column benchmark returns")
-    q = add("airquality", "site-sharded index study of a pollution table")
-    q.add_argument("data_csv", help="hourly or daily site records")
-    q = add("fit", "fit the index model to a response-plus-covariates CSV")
-    q.add_argument("data_csv", help="first column response, rest covariates")
-    q = add("dist-fit", "sharded fit of the index model")
-    q.add_argument("data_csv", help="first column response, rest covariates")
-    q = add("risk", "sample risk of a single return column")
-    q.add_argument("data_csv", help="single-column values")
+        for dest, help_text in command.inputs:
+            q.add_argument(dest, help=help_text)
     return parser
 
 
@@ -517,10 +479,14 @@ def main(argv=None):
         config = _resolve_config(args)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError,
             jsonschema.ValidationError, AqrError) as exc:
+        if isinstance(exc, jsonschema.ValidationError):
+            # the message and the failing key; str() adds the schema's text
+            path = "/".join(str(key) for key in exc.absolute_path)
+            exc = f"{path}: {exc.message}" if path else exc.message
         print(f"aqr {args.command}: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        code, report, outputs = _HANDLERS[args.command](args, config)
+        code, report, outputs = COMMANDS[args.command].run(args, config)
         _write_run(args, config, report, outputs)
     except ParseError as exc:
         where = f" (row {exc.row}" + (f", col {exc.col})" if exc.col

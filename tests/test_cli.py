@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from jsonschema.validators import validator_for
 
 import aqr
-from aqr.cli import DEFAULTS, SCHEMAS, _read_numeric_csv, config_schema, main
+from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _read_numeric_csv,
+                     build_parser, config_schema, main)
 from aqr.errors import ParseError
 
 RUN_RECORD_KEYS = ["command", "config", "config_sha256", "seed", "version",
@@ -35,13 +37,31 @@ def write_xy_csv(path, seed=5, n=100):
     return str(path)
 
 
-def test_every_command_has_schema_and_defaults():
-    assert sorted(SCHEMAS) == sorted(DEFAULTS)
-    for command, schema in SCHEMAS.items():
+def test_command_table_drives_schemas_defaults_and_parser():
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == list(SCHEMAS) == list(DEFAULTS) == list(
+        COMMANDS)
+    for name, command in COMMANDS.items():
+        schema = command.schema
         assert schema["additionalProperties"] is False
-        assert config_schema(command) is schema
+        assert config_schema(name) is schema is SCHEMAS[name]
         # the CLI validates configs without re-checking its schemas
         validator_for(schema).check_schema(schema)
+        defaults = {key: prop["default"]
+                    for key, prop in schema["properties"].items()
+                    if "default" in prop}
+        assert DEFAULTS[name] == defaults
+        for key, value in defaults.items():
+            if (name, key) == ("dist-fit", "rounds"):
+                # null stands for the data-driven round count
+                assert value is None
+                continue
+            validator_for(schema)(schema["properties"][key]).validate(value)
+        positionals = [action.dest for action in sub.choices[name]._actions
+                       if not action.option_strings]
+        assert positionals == [dest for dest, _ in command.inputs]
 
 
 def test_validate_run_record(tmp_path):
@@ -184,6 +204,31 @@ def test_conflicting_config_keys_exit_2(tmp_path, capsys, command, config):
                  "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_run.json"))
+
+
+@pytest.mark.parametrize("command, config", [
+    ("risk", {"family": {"kind": "foo"}}),
+    ("risk", {"family": {"kind": "es", "a": 1}}),
+    ("risk", {"family": {"kind": "ge", "schedule": "nope"}}),
+    ("risk", {"family": {"kind": "tabulated"}}),
+    ("risk", {"family": {"kind": "ges", "a": -1}}),
+    ("portfolio", {"family": {"kind": "foo"}}),
+    ("validate", {"violators": ["nope"]}),
+    ("sim2", {"n": 20, "K": 15, "reps": 1}),
+], ids=["kind", "es-shape", "schedule", "tabulated", "ges-negative",
+        "portfolio-kind", "violator", "sim2-shards"])
+def test_config_the_engines_reject_exits_2_before_any_input(
+        tmp_path, capsys, command, config):
+    # the input files do not exist: the config is rejected before they
+    # are opened
+    inputs = [str(tmp_path / f"{dest}.csv")
+              for dest, _ in COMMANDS[command].inputs]
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert main([command, *inputs, "--config", cfg,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_fit_parse_error_reports_location(tmp_path, capsys):

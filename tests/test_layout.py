@@ -17,8 +17,12 @@ parses numbers in one place, its CSV reader, so no command can read a file
 by other rules. The Dataset's shard labels are the one record of the
 sharding, so in distributed.py and experiments.py no function but partition
 may take a `plan` argument: a plan beside the labels would be a second
-record that has to agree with them. Last, the package's export list must
-name each public object once and resolve.
+record that has to agree with them. cli.py states each command once, in
+its COMMANDS table, and builds the config's weight family only while
+resolving the config, so a bad family exits as a config error before any
+input is read: the parser makes every subparser in one loop over the
+table, and no handler calls WeightFamily.from_json. Last, the package's
+export list must name each public object once and resolve.
 """
 
 import ast
@@ -88,6 +92,24 @@ def test_cli_parses_numbers_only_in_its_csv_reader():
              if name in ("loadtxt", "float")
              and not reader.lineno <= line <= reader.end_lineno]
     assert calls == []
+
+
+def test_cli_states_each_command_once_in_its_table():
+    path = Path(aqr.__file__).parent / "cli.py"
+    functions = {node.name: node for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    loop = next(node for node in ast.walk(functions["build_parser"])
+                if isinstance(node, ast.For)
+                and ast.unparse(node.iter) == "COMMANDS.items()")
+    resolve = functions["_resolve_config"]
+    calls = list(_called_names(path))
+    add_parser = [line for name, line in calls if name == "add_parser"]
+    from_json = [line for name, line in calls if name == "from_json"]
+    assert len(add_parser) == 1
+    assert loop.lineno <= add_parser[0] <= loop.end_lineno
+    assert from_json
+    assert [f"cli.py:{line} from_json" for line in from_json
+            if not resolve.lineno <= line <= resolve.end_lineno] == []
 
 
 @pytest.mark.parametrize("module", ["distributed.py", "experiments.py"])
