@@ -71,21 +71,25 @@ def config_schema(command):
     return SCHEMAS[command]
 
 
+def _check(schema, config):
+    # jsonschema.validate without its check_schema pass, which re-checks our
+    # constant schemas on every call; the tests check them once.
+    error = best_match(validator_for(schema)(schema).iter_errors(config))
+    if error is not None:
+        raise error
+
+
 def _resolve_config(args):
     """Defaults, then the --config file, then the --seed flag, checked by
     the code that owns each rule, so a bad config fails before any input is
     read. The family is built here, once, and handed on as args.family."""
     command = COMMANDS[args.command]
+    schema = command.schema
     config = dict(DEFAULTS[args.command])
     if args.config:
         with open(args.config) as fh:
             user = json.load(fh)
-        # jsonschema.validate without its check_schema pass, which re-checks
-        # our constant schemas on every call; the tests check them once.
-        schema = command.schema
-        error = best_match(validator_for(schema)(schema).iter_errors(user))
-        if error is not None:
-            raise error
+        _check(schema, user)
         config.update(user)
         # of an exclusive pair (sizes or K, bandwidth or rate_exponent), the
         # key the file sets drops the other's default
@@ -96,6 +100,7 @@ def _resolve_config(args):
     if command.preset_reps and "reps" not in config:
         config["reps"] = command.preset_reps[config["preset"]]
     if args.seed is not None and "seed" in config:
+        _check(schema, {"seed": args.seed})
         config["seed"] = args.seed
     if "family" in config:
         args.family = WeightFamily.from_json(config["family"])
@@ -449,6 +454,17 @@ DEFAULTS = {name: {key: prop["default"]
             for name, schema in SCHEMAS.items()}
 
 
+def _thread_count(text):
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="aqr",
@@ -466,7 +482,8 @@ def build_parser():
                        help="override the config seed")
         q.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (must exist)")
-        q.add_argument("--threads", metavar="N", type=int, default=1,
+        q.add_argument("--threads", metavar="N", type=_thread_count,
+                       default=1,
                        help="worker processes for replicated runs")
         for dest, help_text in command.inputs:
             q.add_argument(dest, help=help_text)

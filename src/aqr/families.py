@@ -5,13 +5,16 @@ on each quantile level) together with its cumulative G. Estimators consume G;
 J is exposed for direct L-estimator weighting and for validation. Families
 defined on tau <= 1/2 extend to tau > 1/2 through the reverse rule
 J_tau(s) = J_{1-tau}(1-s), equivalently G_tau(u) = 1 - G_{1-tau}((1-u)-).
+
+scipy's quadrature is imported inside the one check that integrates J, so
+that importing the package, and every command that never validates a family,
+does not pay scipy's import.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ScheduleDomain, SingularDensity
 
@@ -213,35 +216,37 @@ def j_value(family, tau, s):
         raise SingularDensity("the pure-quantile family has no density")
     s_arr = _as_unit_interval(s, "s")
     scalar = np.isscalar(s) or getattr(s, "ndim", 1) == 0
+    out = _j_inner(family, t, s_arr)
+    return float(out) if scalar else out
+
+
+def _j_inner(family, t, s):
     if family.kind == "tabulated":
-        out = np.interp(s_arr, family.grid_s, family.grid_j)
-        return float(out) if scalar else out
+        return np.interp(s, family.grid_s, family.grid_j)
 
     tb = min(t, 1.0 - t)
-    sb = s_arr if t <= 0.5 else 1.0 - s_arr
+    sb = s if t <= 0.5 else 1.0 - s
     if family.kind == "es":
-        out = np.where(sb <= tb, 1.0 / tb, 0.0)
-    elif family.kind == "ges":
+        return np.where(sb <= tb, 1.0 / tb, 0.0)
+    if family.kind == "ges":
         a = family.a
-        out = np.where(sb <= tb,
-                       (1.0 + a) * tb ** (-1.0 - a) * np.maximum(tb - sb, 0.0) ** a,
-                       0.0)
-    elif family.kind == "expspectral":
+        return np.where(sb <= tb,
+                        (1.0 + a) * tb ** (-1.0 - a)
+                        * np.maximum(tb - sb, 0.0) ** a,
+                        0.0)
+    if family.kind == "expspectral":
         b = 2.0 * tb
         if abs(b - 1.0) < ALPHA_LIMIT:
-            out = np.ones_like(sb)
-        else:
-            lb = math.log(b)
-            out = np.exp(sb * lb) * lb / (b - 1.0)
-    else:
-        alpha = resolve_alpha(family, t)
-        if abs(alpha) < ALPHA_LIMIT:
-            out = np.ones_like(sb)
-        elif family.kind == "tcrm":
-            out = alpha / ((1.0 + (alpha * sb) ** 2) * math.atan(alpha))
-        else:  # ge, extremile
-            out = (1.0 + alpha) * (1.0 - sb) ** alpha
-    return float(out) if scalar else out
+            return np.ones_like(sb)
+        lb = math.log(b)
+        return np.exp(sb * lb) * lb / (b - 1.0)
+    alpha = resolve_alpha(family, t)
+    if abs(alpha) < ALPHA_LIMIT:
+        return np.ones_like(sb)
+    if family.kind == "tcrm":
+        return alpha / ((1.0 + (alpha * sb) ** 2) * math.atan(alpha))
+    # ge, extremile
+    return (1.0 + alpha) * (1.0 - sb) ** alpha
 
 
 def g_value(family, tau, u):
@@ -346,6 +351,7 @@ class ValidationReport:
 
 
 def _check_positivity_normalization(family, tau_grid, s_grid):
+    from scipy import integrate
     s = np.asarray(s_grid)
     for t in tau_grid:
         j = j_value(family, t, s)
@@ -363,9 +369,11 @@ def _check_positivity_normalization(family, tau_grid, s_grid):
             total = float(_tabulated_cumulative(family)[1][-1])
         else:
             pts = sorted({tb, 1.0 - tb})
-            total, _ = integrate.quad(lambda x: j_value(family, t, x),
-                                      0.0, 1.0, points=pts, limit=200,
-                                      epsabs=1e-12, epsrel=1e-12)
+            # quad's nodes lie in [0,1]: skip j_value's argument checks, but
+            # hand _j_inner the float64 scalar they would have made
+            total, _ = integrate.quad(
+                lambda x: float(_j_inner(family, t, np.float64(x))),
+                0.0, 1.0, points=pts, limit=200, epsabs=1e-12, epsrel=1e-12)
         if abs(total - 1.0) >= 1e-10:
             return CheckResult(False, {"tau": t, "integral": total},
                                "density does not integrate to 1")

@@ -15,13 +15,16 @@ The normal, Student t and beta quantiles call the scipy.special ufuncs
 (ndtri, stdtrit, betaincinv and betainccinv) directly on the scalar levels
 the quadrature asks for. They return what scipy.stats' ppf and isf return at
 levels down to 1e-300, without its per-call argument handling.
+
+scipy is imported inside the functions that call it, so that importing the
+package, and every command that never asks for a population value, does not
+pay scipy's import.
 """
 
 import math
 import warnings
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, QuadratureFail
 from .families import ALPHA_LIMIT, _tau, resolve_alpha
@@ -100,6 +103,7 @@ def point_mass(c):
 
 def _ppf_isf(dist):
     """Quantile function in two forms: from the level and from its complement."""
+    from scipy import special
     k, p = dist.kind, dist.params
     if k == "normal":
         mu, sg = p["mu"], p["sigma"]
@@ -215,6 +219,7 @@ def population_aqr(dist, family, tau):
     QR-Dirac returns the plain quantile; everything else integrates
     Q(G^{-1}(v)) exactly as described in the module docstring.
     """
+    from scipy import integrate
     t = _tau(tau)
     if dist.kind == "pointMass":
         return dist.params["c"]
@@ -263,6 +268,7 @@ def population_aqr(dist, family, tau):
 
 def frechet_limit_ratio(kind, gamma, a=None, A=None):
     """Closed-form limit of xi_tau / Q(tau) as tau -> 1 under a frechet tail."""
+    from scipy import special
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0,1)")
     if kind == "ges":

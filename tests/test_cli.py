@@ -2,6 +2,8 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -231,6 +233,28 @@ def test_config_the_engines_reject_exits_2_before_any_input(
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", [name for name, schema in SCHEMAS.items()
+                                     if "seed" in schema["properties"]])
+def test_negative_seed_flag_exits_2_before_any_input(tmp_path, capsys,
+                                                     command):
+    inputs = [str(tmp_path / f"{dest}.csv")
+              for dest, _ in COMMANDS[command].inputs]
+    assert main([command, *inputs, "--seed", "-1",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error: seed:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_thread_count_below_one_exits_2(tmp_path, capsys, count):
+    with pytest.raises(SystemExit) as stop:
+        main(["sim1", "--threads", count, "--out", str(tmp_path)])
+    assert stop.value.code == 2
+    assert "argument --threads: must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_parse_error_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("y,x1\n1.0,2.0\n3.0,oops\n")
@@ -437,11 +461,11 @@ def test_portfolio_cli(tmp_path):
     assert [(tmp_path / name).read_bytes() for name in names] == first
 
 
-def test_airquality_cli(tmp_path):
+def write_air_csv(path):
+    """Two sites, 40 winter days, two hours a day: 80 daily rows."""
     rng = np.random.default_rng(21)
     beta0 = np.array([0.6, 0.5, -0.5, 0.3])
     beta0 /= np.linalg.norm(beta0)
-    path = tmp_path / "air.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["station", "year", "month", "day", "hour",
@@ -456,8 +480,13 @@ def test_airquality_cli(tmp_path):
                         + 4.0 * rng.standard_normal()
                     w.writerow([site, year, month, dom, hour, float(y)]
                                + [float(v) for v in x])
+    return str(path)
+
+
+def test_airquality_cli(tmp_path):
+    path = write_air_csv(tmp_path / "air.csv")
     cfg = write_json(tmp_path / "cfg.json", {"taus": [0.2, 0.8]})
-    assert main(["airquality", str(path), "--config", cfg,
+    assert main(["airquality", path, "--config", cfg,
                  "--out", str(tmp_path)]) == 0
     with open(tmp_path / "airquality_full.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -504,6 +533,38 @@ def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys,
     if row is not None:
         assert f"(row {row}" in err
     assert not list(tmp_path.glob("*_run.json"))
+
+
+SCIPY_ON_FIRST_USE = """
+import sys
+from aqr.cli import main
+
+out, risk_csv, air_csv, air_cfg, compare_cfg = sys.argv[1:]
+def scipy_modules():
+    return [name for name in sys.modules if name.startswith("scipy")]
+assert main(["risk", risk_csv, "--out", out]) == 0
+assert main(["airquality", air_csv, "--config", air_cfg, "--out", out]) == 0
+assert scipy_modules() == [], scipy_modules()
+assert main(["compare", "--config", compare_cfg, "--out", out]) == 0
+assert "scipy.integrate" in scipy_modules()
+"""
+
+
+def test_commands_load_scipy_only_on_first_use(tmp_path):
+    # risk and airquality never call scipy; compare imports it when it
+    # first integrates a population value
+    risk_csv = tmp_path / "r.csv"
+    risk_csv.write_text("r\n" + "\n".join(
+        str(v) for v in np.random.default_rng(4).normal(0.0, 0.02, 100)))
+    argv = [str(tmp_path), str(risk_csv), write_air_csv(tmp_path / "air.csv"),
+            write_json(tmp_path / "air.json", {"taus": [0.2]}),
+            write_json(tmp_path / "compare.json", {"taus": [0.9]})]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_USE, *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "compare.csv").exists()
 
 
 def test_module_entry_point_reports_version():

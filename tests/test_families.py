@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate
 
 from aqr.errors import DomainError, ScheduleDomain, SingularDensity
-from aqr.families import (ALPHA_LIMIT, WeightFamily, es, exp_spectral,
-                          extremile, g_value, ge, ges, j_value, omega,
-                          qr_dirac, resolve_alpha, tabulated, validate_c1)
+from aqr.families import (ALPHA_LIMIT, WeightFamily, _j_inner,
+                          default_s_grid, es, exp_spectral, extremile,
+                          g_value, ge, ges, j_value, omega, qr_dirac,
+                          resolve_alpha, tabulated, validate_c1)
 
 ALL_BUILTINS = [es(), ges(0.0), ges(1.0), ges(2.0), extremile(),
                 ge("half-inverse"), ge("cotangent"),
@@ -91,6 +92,26 @@ def test_density_normalizes():
                                     points=sorted({tb, 1.0 - tb}), limit=200,
                                     epsabs=1e-12, epsrel=1e-12)
             assert abs(val - 1.0) < 1e-10, (fam.label(), t, val)
+
+
+def test_check_free_density_integrates_bit_identically():
+    # validate_c1 integrates _j_inner, skipping j_value's argument checks;
+    # quad must see the same values, so integral and error are unchanged
+    families = ALL_BUILTINS + [ge("extremile-equivalent")]
+    s = np.concatenate([default_s_grid(),
+                        np.random.default_rng(3).uniform(0.0, 1.0, 200)])
+    for fam in families:
+        for t in (0.01, 0.05, 0.2, 0.45, 0.5, 0.55, 0.8, 0.95, 0.99):
+            tb = min(t, 1.0 - t)
+            quad = dict(points=sorted({tb, 1.0 - tb}), limit=200,
+                        epsabs=1e-12, epsrel=1e-12)
+            checked = integrate.quad(lambda x: j_value(fam, t, x),
+                                     0.0, 1.0, **quad)
+            free = integrate.quad(
+                lambda x: float(_j_inner(fam, t, np.float64(x))),
+                0.0, 1.0, **quad)
+            assert free == checked, (fam.label(), t)
+            assert np.array_equal(_j_inner(fam, t, s), j_value(fam, t, s))
 
 
 def test_reverse_symmetry():

@@ -21,8 +21,11 @@ record that has to agree with them. cli.py states each command once, in
 its COMMANDS table, and builds the config's weight family only while
 resolving the config, so a bad family exits as a config error before any
 input is read: the parser makes every subparser in one loop over the
-table, and no handler calls WeightFamily.from_json. Last, the package's
-export list must name each public object once and resolve.
+table, and no handler calls WeightFamily.from_json. scipy is imported only
+inside the functions that call it, so that `import aqr` and the commands
+that never integrate or invert a distribution do not pay its import: no
+module imports it at module level. Last, the package's export list must
+name each public object once and resolve.
 """
 
 import ast
@@ -125,6 +128,31 @@ def test_only_partition_takes_a_shard_plan(module):
             if "plan" in names and getattr(node, "name", None) != "partition":
                 takers.append(f"{module}:{node.lineno}")
     assert takers == []
+
+
+def _import_time_imports(tree):
+    """Import statements that run when the module is imported: all those
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node, [node.module]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    found = []
+    for path in sorted(Path(aqr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}"
+                  for node, names in _import_time_imports(tree)
+                  if any(name.split(".")[0] == "scipy" for name in names)]
+    assert found == []
 
 
 def test_package_exports_are_unique_and_resolve():

@@ -230,8 +230,12 @@ def test_ppf_isf_equal_scipy_stats(level):
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # scipy is imported by the functions that call it, not by the package
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = "import aqr, sys; assert 'scipy.stats' not in sys.modules"
+    code = ("import aqr, aqr.cli, sys\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert loaded == [], loaded\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))
