@@ -12,8 +12,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ZeroTruth
-from .families import _tau, g_value
+from .errors import DomainError, ZeroTruth
+from .families import _g_inner, _tau
 
 
 @dataclass
@@ -33,11 +33,16 @@ def _telescope(knots, levels, family, tau):
     levels at the shared `knots`. The quantile family takes the first knot
     whose level reaches tau, or the top knot with mass 0 when the CDF never
     reaches it; every other family weighs each knot by its G increment.
+    A row is non-decreasing by construction (StepCDF checks it, and
+    _YSorted.levels divides a cumulative sum of non-negative weights by its
+    last entry), so only its end levels are checked against [0, 1].
     """
     if family.kind == "qr-dirac":
         i = (levels < tau).sum(axis=-1)
         return knots[np.minimum(i, knots.size - 1)], (i < knots.size) * 1.0
-    g = g_value(family, tau, levels)
+    if np.any(levels[..., 0] < 0.0) or np.any(levels[..., -1] > 1.0):
+        raise DomainError("levels must lie in [0, 1]")
+    g = _g_inner(family, tau, levels)
     return np.diff(g, axis=-1, prepend=0.0) @ knots, g[..., -1]
 
 

@@ -9,7 +9,6 @@ always happen in replication order.
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,6 +31,9 @@ def _pmap(fn, tasks, threads):
     """Map preserving task order; a process pool when threads > 1."""
     if threads is None or int(threads) <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: the pool pulls in multiprocessing, which no
+    # single-process run needs
+    from concurrent.futures import ProcessPoolExecutor
     workers = min(int(threads), len(tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (4 * workers))

@@ -180,11 +180,11 @@ class _YSorted:
         # tie run of each sorted position
         self.run = np.repeat(np.arange(self.ends.size), runs)
 
-    def blocks(self, idx, size=None):
+    def blocks(self, idx, size=None, depth=1):
         """The evaluation rows `idx` in consecutive blocks of `size` rows,
-        by default _BLOCK_CELLS kernel cells."""
+        by default _BLOCK_CELLS cells of a (depth, rows, n) array."""
         if size is None:
-            size = max(1, _BLOCK_CELLS // self.zs.size)
+            size = max(1, _BLOCK_CELLS // (depth * self.zs.size))
         return [idx[s:s + size] for s in range(0, idx.size, size)]
 
     def diff(self, rows):
@@ -196,6 +196,15 @@ class _YSorted:
         exp(-u^2/2), the weight phi(u)/h times sqrt(2 pi) h."""
         u = self.diff(rows) / h
         return u, np.exp(-0.5 * u * u)
+
+    def isolated(self, h):
+        """Whether some row's only positive kernel weight at bandwidth h is
+        its own: exp(-u^2/2) underflows to 0 at both of its neighbours in
+        sorted z, so at every other row. O(n log n)."""
+        with np.errstate(over="ignore"):
+            u = np.diff(np.sort(self.z)) / h
+            near = np.concatenate(([0.0], np.exp(-0.5 * u * u), [0.0]))
+        return bool(np.any(np.maximum(near[:-1], near[1:]) == 0.0))
 
     def staircase(self, k):
         """Cumulative sums of k along the sorted rows, read at the last

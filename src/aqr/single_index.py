@@ -12,7 +12,14 @@ turns the indicator into a staircase of cumulative kernel sums; this module
 adds only the index: beta, the bandwidth and the y-sorted covariate
 offsets. On the staircase, sum_j r_ij I(y_l <= y_j) is a reverse cumulative
 sum over the runs. The evaluation rows go in blocks of a fixed number of
-kernel cells, so memory is O(block * n * p) and work O(n^2 p) per call.
+cells, so memory is O(block * n * p) and work O(n^2 p) per call; a
+derivative block's (p, rows, n) tensors hold half as many cells as an
+objective block's (rows, n) arrays (see _fold_by_shard).
+
+Each fit_full iterate takes the gradient and the Hessian at one beta from
+one walk over the blocks, _derivatives, so the kernel, the staircase, the
+residuals and mix are built once per block and iterate. Its gradient is
+psis_gradient's bit for bit: both form each row's sum with _gradient_sums.
 
 _fold_by_shard is the package's only shard-ordered reduction: the objective
 and gradient pair sums are grouped by shard and combined in ascending
@@ -30,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, IdentificationFail, IllConditioned,
-                     LineSearchFail, ShapeMismatch, ZeroVector)
+                     KernelUnderflow, LineSearchFail, ShapeMismatch,
+                     ZeroVector)
 from .kernel_cde import Bandwidth, _YSorted, _as_bandwidth
 
 MAX_NEWTON_ITER = 100
@@ -112,31 +120,52 @@ def _objective_rows(ys, rows):
     return ys.runs(resid * resid).sum(axis=1)
 
 
-def _gradient_rows(ys, rows):
-    """Each row's gradient sum (unscaled), shape (p, rows).
-
-    sum_j r_ij dF_ij/dbeta with F_ij = num_ij/s2_i regroups by kernel pair:
-    sum_l dw_il/dbeta (mix_il/s2_i - sum_j r_ij num_ij/s2_i^2), where
-    mix_il = sum_j r_ij I(y_l <= y_j).
-    """
+def _row_terms(ys, rows):
+    """The rows' kernel pieces that every derivative sum shares: u, the
+    weights e = exp(-u^2/2), their slopes in the index -u e/h, the level
+    staircase num with its totals s2, the run-weighted pair residuals r and
+    mix_il = sum_j r_ij I(y_l <= y_j)."""
     u, e = ys.kernel(rows, ys.h)
     num, s2, resid = _residuals(ys, rows, e)
     resid = ys.runs(resid)
-    psi = ys.reach(resid) / s2[:, None] \
-        - ((resid * num).sum(axis=1) / (s2 * s2))[:, None]
-    return (((e * u / -ys.h) * psi) * ys.offsets(rows)).sum(axis=2)
+    return u, e, e * u / -ys.h, num, s2, resid, ys.reach(resid)
 
 
-def _fold_by_shard(data, beta, h, row_sums):
+def _gradient_sums(terms, dx):
+    """Each row's gradient sum (unscaled), shape (p, rows), from its
+    _row_terms and offsets dx.
+
+    sum_j r_ij dF_ij/dbeta with F_ij = num_ij/s2_i regroups by kernel pair:
+    sum_l dw_il/dbeta (mix_il/s2_i - sum_j r_ij num_ij/s2_i^2).
+    """
+    _, _, slope, num, s2, resid, mix = terms
+    psi = mix / s2[:, None] - ((resid * num).sum(axis=1) / (s2 * s2))[:, None]
+    return ((slope * psi) * dx).sum(axis=2)
+
+
+def _gradient_rows(ys, rows):
+    return _gradient_sums(_row_terms(ys, rows), ys.offsets(rows))
+
+
+def _fold_by_shard(data, beta, h, row_sums, depth):
     """Compensated sums of row_sums(ys, rows), whose last axis runs over the
     rows, per shard in ascending label order: one list per shard, one sum
     per leading entry. A shard's sums depend neither on the row blocks nor,
-    for untied y, on the row order."""
+    for untied y, on the row order.
+
+    A block holds _BLOCK_CELLS cells of a (depth, rows, n) array. The
+    objective's block arrays are (rows, n), and its depth is 1. A
+    derivative block keeps many (p, rows, n) tensors alive at once, and its
+    depth is 2p, so each tensor holds half of _BLOCK_CELLS: measured with
+    glibc at n = 270 to 2000, from about 12,000 cells a tensor on the
+    allocator can return the freed temporaries to the system, and then
+    every block page-faults them in afresh.
+    """
     ys = _IndexSorted(data, beta, h)
     parts = []
     for idx in data.shard_slices():
-        sums = np.concatenate([row_sums(ys, b) for b in ys.blocks(idx)],
-                              axis=-1)
+        sums = np.concatenate([row_sums(ys, b)
+                               for b in ys.blocks(idx, depth=depth)], axis=-1)
         parts.append([math.fsum(s) for s in sums.reshape(-1, idx.size)
                       .tolist()])
     return parts
@@ -144,13 +173,14 @@ def _fold_by_shard(data, beta, h, row_sums):
 
 def _objective_parts(data, beta, h):
     """Raw per-shard sums of squared pair residuals, ascending shard label."""
-    return [part[0] for part in _fold_by_shard(data, beta, h, _objective_rows)]
+    return [part[0]
+            for part in _fold_by_shard(data, beta, h, _objective_rows, 1)]
 
 
 def _gradient_parts(data, beta, h):
     """Raw per-shard gradient sums (unscaled), ascending shard label."""
-    return [np.array(part)
-            for part in _fold_by_shard(data, beta, h, _gradient_rows)]
+    return [np.array(part) for part in
+            _fold_by_shard(data, beta, h, _gradient_rows, 2 * data.p)]
 
 
 def _reduce_objective(parts, n):
@@ -172,30 +202,33 @@ def psis_gradient(data, beta, h):
     return _reduce_gradient(_gradient_parts(data, beta, h), data.n, data.p)
 
 
-def psis_hessian(data, beta, h):
-    """Analytic Hessian of psis_objective; returned exactly symmetric.
+def _derivatives(data, beta, h):
+    """Gradient and Hessian of psis_objective from one walk over the row
+    blocks, shards in ascending label order.
 
-    The Hessian of sum r_ij^2 is 2 sum dF dF^T (the Gauss-Newton term) minus
-    2 sum r_ij d2F_ij; the second sum is regrouped by kernel pair (i, l)
-    through mix_il = sum_j r_ij I(y_l <= y_j). Each block of rows adds p x p
-    terms, so memory is O(block * n * p).
+    The gradient is psis_gradient's, bit for bit: each row's
+    _gradient_sums, folded by shard. The Hessian of sum r_ij^2 is
+    2 sum dF dF^T (the Gauss-Newton term) minus 2 sum r_ij d2F_ij; the
+    second sum is regrouped by kernel pair (i, l) through mix_il. Each block
+    of rows adds p x p terms, so memory is O(block * n * p). The Hessian is
+    returned exactly symmetric.
     """
-    ys = _IndexSorted(data, beta, h)
     p = data.p
     gauss = np.zeros((p, p))
     curv = np.zeros((p, p))
     mixed = np.zeros((p, p))
-    for rows in ys.blocks(np.arange(data.n)):
-        u, e = ys.kernel(rows, ys.h)
-        num, s2, resid = _residuals(ys, rows, e)
+
+    def row_sums(ys, rows):
+        nonlocal gauss, curv, mixed
+        terms = _row_terms(ys, rows)
+        u, e, slope, num, s2, _, mix = terms
         ss = s2 * s2
         dx = ys.offsets(rows)
-        slopes = (e * u / -ys.h) * dx
+        slopes = slope * dx
         dnum = ys.staircase(slopes)
         dden = dnum[..., -1]
         grad_f = dnum / s2[:, None] - num * (dden / ss)[..., None]
         gauss += ys.runs(grad_f).reshape(p, -1) @ grad_f.reshape(p, -1).T
-        mix = ys.reach(ys.runs(resid))
         ci = (e * mix).sum(axis=1)
         mixed += ((slopes * mix).sum(axis=2) / ss) @ dden.T
         curv += (dden * (2.0 * ci / (ss * s2))) @ dden.T
@@ -203,9 +236,18 @@ def psis_hessian(data, beta, h):
         omega = (u * u - 1.0) * e / (ys.h * ys.h) \
             * (mix / s2[:, None] - (ci / ss)[:, None])
         curv += (omega * dx).reshape(p, -1) @ dx.reshape(p, -1).T
+        return _gradient_sums(terms, dx)
+
+    grad = _reduce_gradient(_fold_by_shard(data, beta, h, row_sums, 2 * p),
+                            data.n, p)
     hess = 2.0 * gauss - 2.0 * (curv - mixed - mixed.T)
     hess /= data.n * data.n
-    return (hess + hess.T) / 2.0
+    return grad, (hess + hess.T) / 2.0
+
+
+def psis_hessian(data, beta, h):
+    """Analytic Hessian of psis_objective; returned exactly symmetric."""
+    return _derivatives(data, beta, h)[1]
 
 
 def _newton_step(hessian, gradient):
@@ -278,16 +320,20 @@ def fit_full(data, h, init):
     if data.p == 1:
         return IndexModel(np.array([1.0]), h)
     beta = normalize_beta(init)
-    z = data.X @ beta
-    if float(np.ptp(z)) == 0.0:
+    ys = _IndexSorted(data, beta, h)
+    if float(np.ptp(ys.z)) == 0.0:
         raise IllConditioned("index has no variation at the initial direction")
+    if ys.isolated(ys.h):
+        raise KernelUnderflow(
+            f"bandwidth {ys.h!r} leaves some row no kernel weight but its "
+            "own at the initial direction")
     value = psis_objective(data, beta, h)
     for _ in range(MAX_NEWTON_ITER):
-        grad = psis_gradient(data, beta, h)
+        grad, hess = _derivatives(data, beta, h)
         tangential = grad - (grad @ beta) * beta
         if float(np.max(np.abs(tangential))) < STATIONARY_TOL:
             break
-        step = _tangent_step(psis_hessian(data, beta, h), grad, beta)
+        step = _tangent_step(hess, grad, beta)
         # the objective's own rounding hides any smaller predicted decrease
         if 0.5 * float(grad @ step) <= 4.0 * math.ulp(value):
             break

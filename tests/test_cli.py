@@ -16,6 +16,8 @@ import aqr
 from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _read_numeric_csv,
                      build_parser, config_schema, main)
 from aqr.errors import ParseError
+from aqr.experiments import fit_pooled
+from aqr.kernel_cde import Dataset
 
 RUN_RECORD_KEYS = ["command", "config", "config_sha256", "seed", "version",
                    "outputs", "report"]
@@ -253,6 +255,22 @@ def test_thread_count_below_one_exits_2(tmp_path, capsys, count):
     assert stop.value.code == 2
     assert "argument --threads: must be at least 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_bandwidth_that_isolates_a_row_exits_1(tmp_path, capsys):
+    data = write_xy_csv(tmp_path / "xy.csv", n=300)
+    cfg = write_json(tmp_path / "cfg.json", {"bandwidth": 1e-8})
+    assert main(["fit", data, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "KernelUnderflow" in err
+    assert not (tmp_path / "fit.json").exists()
+    # at the rule bandwidth every row has a neighbour's weight, and the fit
+    # is the pooled fit
+    assert main(["fit", data, "--out", str(tmp_path)]) == 0
+    table = _read_numeric_csv(data)[1]
+    want = fit_pooled(Dataset(table[:, 0], table[:, 1:]))
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["beta"] == want.beta.tolist() and fit["h"] == want.h.h
 
 
 def test_fit_parse_error_reports_location(tmp_path, capsys):

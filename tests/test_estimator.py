@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aqr.errors import ZeroTruth
+from aqr.errors import DomainError, ZeroTruth
 from aqr.estimator import _telescope, aqr_conditional, aqr_profile, rpad
 from aqr.experiments import builtin_families
 from aqr.families import (WeightFamily, es, exp_spectral, extremile, g_value,
@@ -160,3 +160,13 @@ def test_telescope_block_matches_conditional_row_by_row(seed, rows, n_knots,
             bound = (n_knots + 1) * eps * float(np.sum(np.abs(terms)))
             assert abs(values[r] - exact) <= bound
             assert abs(est.value - exact) <= bound
+
+
+@pytest.mark.parametrize("end, level", [(0, -1e-3), (-1, 1.001)])
+def test_telescope_rejects_an_end_level_outside_the_unit_interval(end, level):
+    knots = np.array([0.0, 1.0, 2.0])
+    levels = np.array([[0.2, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    levels[1, end] = level
+    for fam in FAMILIES:
+        with pytest.raises(DomainError):
+            _telescope(knots, levels, fam, 0.3)

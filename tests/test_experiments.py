@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -128,6 +132,17 @@ def test_sim2_small_run_deterministic():
     assert len(out["rpad"]) == 5 * 1 * 2
     assert {r["method"] for r in out["rpad"]} == {"all", "de"}
     assert run_sim2(**kwargs, threads=2) == out
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # _pmap imports the pool only when threads > 1 asks for one
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import aqr, aqr.cli, sys\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
 
 
 def test_sim2_k1_reports_zero_newton_gap():

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from aqr.errors import (DomainError, EmptyGrid, KernelUnderflow,
                         ShapeMismatch)
 from aqr.kernel_cde import (_CV_BLOCK_CELLS, Bandwidth, Dataset, StepCDF,
-                            _cv_scores, cde_curve, cde_eval, cv_bandwidth,
-                            default_bandwidth_grid, index_cde_eval,
-                            index_cde_grad, rule_bandwidth)
+                            _YSorted, _cv_scores, cde_curve, cde_eval,
+                            cv_bandwidth, default_bandwidth_grid,
+                            index_cde_eval, index_cde_grad, rule_bandwidth)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -238,6 +238,53 @@ def test_shard_partials_reduce_bit_for_bit(n_labels, decimals, seed):
     curve, want = cde_curve(raw_full, h, x0[0]), cde_curve(raw, h, x0[0])
     assert np.array_equal(curve.knots, want.knots)
     assert np.array_equal(curve.levels, want.levels)
+
+
+@st.composite
+def sorted_rows(draw, log_h):
+    """Up to 40 rows: y untied or from four values, z on a 0.01 grid (ties
+    included), and h log-uniform over `log_h`."""
+    n = draw(st.integers(2, 40))
+    top = draw(st.sampled_from([3, 10**6]))
+    y = np.array(draw(st.lists(st.integers(0, top), min_size=n,
+                               max_size=n)), dtype=float)
+    z = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=n,
+                               max_size=n))) / 100.0
+    return _YSorted(y, z), 10.0 ** draw(st.floats(*log_h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_rows((-8.0, 8.0)))
+def test_levels_are_monotone_cdfs_in_the_unit_interval(problem):
+    # _telescope checks only the end levels, relying on this
+    ys, h = problem
+    levels = ys.levels(ys.kernel(np.arange(ys.z.size), h)[1])[2]
+    assert np.all(np.diff(levels, axis=1) >= 0.0)
+    assert np.all(levels[:, 0] >= 0.0)
+    assert np.all(levels[:, -1] == 1.0)
+
+
+def _isolated_dense(ys, h):
+    """Some row whose only positive weight is its own, from every weight."""
+    e = ys.kernel(np.arange(ys.z.size), h)[1]
+    return bool(np.any((e > 0.0).sum(axis=1) == 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_rows((-5.0, 0.0)))
+def test_isolated_rows_match_the_dense_kernel(problem):
+    ys, h = problem
+    assert ys.isolated(h) == _isolated_dense(ys, h)
+
+
+def test_isolated_rows_at_the_underflow_edge():
+    # exp(-u^2/2) underflows near u = 38.6: scan h across that edge for
+    # the gaps 1 and 2
+    ys = _YSorted(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
+    grid = np.geomspace(1.0 / 45, 2.0 / 30, 400)
+    flags = [ys.isolated(h) for h in grid]
+    assert flags == [_isolated_dense(ys, h) for h in grid]
+    assert flags[0] and not flags[-1]
 
 
 def test_cv_bandwidth_basics():

@@ -24,8 +24,11 @@ input is read: the parser makes every subparser in one loop over the
 table, and no handler calls WeightFamily.from_json. scipy is imported only
 inside the functions that call it, so that `import aqr` and the commands
 that never integrate or invert a distribution do not pay its import: no
-module imports it at module level. Last, the package's export list must
-name each public object once and resolve.
+module imports it at module level. Each Newton iterate of
+single_index.fit_full takes its gradient and Hessian from one walk over the
+row blocks, _derivatives: fit_full calls neither psis_gradient nor
+psis_hessian, and psis_hessian has no block loop of its own. Last, the
+package's export list must name each public object once and resolve.
 """
 
 import ast
@@ -153,6 +156,21 @@ def test_no_module_imports_scipy_at_module_level():
                   for node, names in _import_time_imports(tree)
                   if any(name.split(".")[0] == "scipy" for name in names)]
     assert found == []
+
+
+def test_fit_full_walks_the_blocks_once_per_iterate():
+    path = Path(aqr.__file__).parent / "single_index.py"
+    functions = {node.name: node for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    fit = functions["fit_full"]
+    calls = {ast.unparse(node.func) for node in ast.walk(fit)
+             if isinstance(node, ast.Call)}
+    assert "_derivatives" in calls
+    assert calls & {"psis_gradient", "psis_hessian"} == set()
+    loops = [f"single_index.py:{node.lineno}"
+             for node in ast.walk(functions["psis_hessian"])
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []
 
 
 def test_package_exports_are_unique_and_resolve():

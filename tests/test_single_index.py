@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aqr.errors import (DomainError, IdentificationFail, IllConditioned,
-                        ZeroVector)
+                        KernelUnderflow, ZeroVector)
 from aqr.experiments import _rep_seed, _sim2_draw
 from aqr.kernel_cde import _BLOCK_CELLS, SQRT_2PI, Dataset, rule_bandwidth
 from aqr.single_index import (MAX_HALVINGS, MAX_STEP,
-                              IndexModel, _backtrack, _gradient_parts,
-                              _objective_parts, _tangent_step, fit_full,
+                              IndexModel, _backtrack, _derivatives,
+                              _gradient_parts, _objective_parts,
+                              _tangent_step, fit_full,
                               normalize_beta, psis_gradient, psis_hessian,
                               psis_objective)
 
@@ -186,6 +187,16 @@ def test_fit_rejects_constant_index():
     data = Dataset(np.arange(8.0), np.ones((8, 2)))
     with pytest.raises(IllConditioned):
         fit_full(data, 0.4, np.array([1.0, 1.0]))
+
+
+def test_fit_rejects_a_bandwidth_that_isolates_a_row():
+    # each row keeps only its own kernel weight, so its CDF is its own
+    # indicator: the objective is exactly 0 and every start looks stationary
+    data, _ = quadratic_model(np.random.default_rng(2), n=300)
+    init = normalize_beta(np.ones(2))
+    assert psis_objective(data, init, 1e-8) == 0.0
+    with pytest.raises(KernelUnderflow):
+        fit_full(data, 1e-8, init)
 
 
 def test_fit_invariant_to_init_scaling():
@@ -364,7 +375,8 @@ def sharded_problems(draw):
 
 def _parts(data, beta, h):
     return (np.array(_objective_parts(data, beta, h)),
-            np.array(_gradient_parts(data, beta, h)))
+            np.array(_gradient_parts(data, beta, h)),
+            _derivatives(data, beta, h)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -387,16 +399,32 @@ def test_shard_parts_invariant_to_row_order(problem):
 def test_shard_parts_independent_of_row_blocks(problem):
     data, beta, h, _ = problem
     want = _parts(data, beta, h)
-    # the default puts every shard of up to 60 rows in one block
-    assert _BLOCK_CELLS // data.n > 7
-    for rows in (1, 7):
-        with mock.patch("aqr.kernel_cde._BLOCK_CELLS", rows * data.n):
+    # the default puts every shard of up to 60 rows in one block; the
+    # patches give the objective blocks of 1 and 14p rows, the derivatives
+    # blocks of 1 and 7
+    assert _BLOCK_CELLS // (2 * data.p * data.n) > 7
+    for cells in (data.n, 14 * data.p * data.n):
+        with mock.patch("aqr.kernel_cde._BLOCK_CELLS", cells):
             got = _parts(data, beta, h)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("derivative", [psis_gradient, psis_hessian])
+@settings(max_examples=100, deadline=None)
+@given(sharded_problems())
+def test_fused_gradient_is_psis_gradient_bit_for_bit(problem):
+    # the one derivative walk forms each row's gradient sum with the
+    # expression the gradient-only walk uses, and folds it the same way,
+    # on sharded, pooled and tied-y data alike
+    data, beta, h, _ = problem
+    for d in (data, Dataset(data.y, data.X)):
+        grad, hess = _derivatives(d, beta, h)
+        assert np.array_equal(grad, psis_gradient(d, beta, h))
+        assert np.array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("derivative",
+                         [psis_gradient, psis_hessian, _derivatives])
 def test_derivative_memory_is_bounded_by_row_blocks(derivative):
     # the dense n x n x p products peaked at 756 MiB (gradient) and
     # 1167 MiB (Hessian) here
