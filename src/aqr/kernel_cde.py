@@ -197,14 +197,14 @@ class _YSorted:
         u = self.diff(rows) / h
         return u, np.exp(-0.5 * u * u)
 
-    def isolated(self, h):
-        """Whether some row's only positive kernel weight at bandwidth h is
-        its own: exp(-u^2/2) underflows to 0 at both of its neighbours in
-        sorted z, so at every other row. O(n log n)."""
+    def all_isolated(self, h):
+        """Whether every row's only positive kernel weight at bandwidth h is
+        its own: exp(-u^2/2) underflows to 0 across every gap between
+        neighbours in sorted z. Each row's CDF is then its own indicator,
+        and every pair residual is 0. O(n log n)."""
         with np.errstate(over="ignore"):
             u = np.diff(np.sort(self.z)) / h
-            near = np.concatenate(([0.0], np.exp(-0.5 * u * u), [0.0]))
-        return bool(np.any(np.maximum(near[:-1], near[1:]) == 0.0))
+            return bool(np.all(np.exp(-0.5 * u * u) == 0.0))
 
     def staircase(self, k):
         """Cumulative sums of k along the sorted rows, read at the last

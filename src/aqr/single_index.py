@@ -151,7 +151,9 @@ def _fold_by_shard(data, beta, h, row_sums, depth):
     """Compensated sums of row_sums(ys, rows), whose last axis runs over the
     rows, per shard in ascending label order: one list per shard, one sum
     per leading entry. A shard's sums depend neither on the row blocks nor,
-    for untied y, on the row order.
+    for untied y, on the row order. row_sums is called exactly once per
+    block, shards in ascending label order and blocks in order within each,
+    so a caller may accumulate other sums in it.
 
     A block holds _BLOCK_CELLS cells of a (depth, rows, n) array. The
     objective's block arrays are (rows, n), and its depth is 1. A
@@ -323,9 +325,9 @@ def fit_full(data, h, init):
     ys = _IndexSorted(data, beta, h)
     if float(np.ptp(ys.z)) == 0.0:
         raise IllConditioned("index has no variation at the initial direction")
-    if ys.isolated(ys.h):
+    if ys.all_isolated(ys.h):
         raise KernelUnderflow(
-            f"bandwidth {ys.h!r} leaves some row no kernel weight but its "
+            f"bandwidth {ys.h!r} leaves every row no kernel weight but its "
             "own at the initial direction")
     value = psis_objective(data, beta, h)
     for _ in range(MAX_NEWTON_ITER):

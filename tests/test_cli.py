@@ -257,7 +257,7 @@ def test_thread_count_below_one_exits_2(tmp_path, capsys, count):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_fit_bandwidth_that_isolates_a_row_exits_1(tmp_path, capsys):
+def test_fit_bandwidth_that_isolates_every_row_exits_1(tmp_path, capsys):
     data = write_xy_csv(tmp_path / "xy.csv", n=300)
     cfg = write_json(tmp_path / "cfg.json", {"bandwidth": 1e-8})
     assert main(["fit", data, "--config", cfg, "--out", str(tmp_path)]) == 1

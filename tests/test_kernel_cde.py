@@ -264,27 +264,30 @@ def test_levels_are_monotone_cdfs_in_the_unit_interval(problem):
     assert np.all(levels[:, -1] == 1.0)
 
 
-def _isolated_dense(ys, h):
-    """Some row whose only positive weight is its own, from every weight."""
+def _all_isolated_dense(ys, h):
+    """Every row's only positive weight is its own, from every weight."""
     e = ys.kernel(np.arange(ys.z.size), h)[1]
-    return bool(np.any((e > 0.0).sum(axis=1) == 1))
+    return bool(np.all((e > 0.0).sum(axis=1) == 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(sorted_rows((-5.0, 0.0)))
-def test_isolated_rows_match_the_dense_kernel(problem):
+def test_all_isolated_matches_the_dense_kernel(problem):
     ys, h = problem
-    assert ys.isolated(h) == _isolated_dense(ys, h)
+    assert ys.all_isolated(h) == _all_isolated_dense(ys, h)
 
 
-def test_isolated_rows_at_the_underflow_edge():
+def test_all_isolated_at_the_underflow_edge():
     # exp(-u^2/2) underflows near u = 38.6: scan h across that edge for
-    # the gaps 1 and 2
+    # the gaps 1 and 2; between the two edges only the last row is isolated
     ys = _YSorted(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
     grid = np.geomspace(1.0 / 45, 2.0 / 30, 400)
-    flags = [ys.isolated(h) for h in grid]
-    assert flags == [_isolated_dense(ys, h) for h in grid]
+    flags = [ys.all_isolated(h) for h in grid]
+    assert flags == [_all_isolated_dense(ys, h) for h in grid]
     assert flags[0] and not flags[-1]
+    one = ys.kernel(np.arange(3), 1.5 / 38.6)[1]
+    assert (one > 0.0).sum(axis=1).tolist() == [2, 2, 1]
+    assert not ys.all_isolated(1.5 / 38.6)
 
 
 def test_cv_bandwidth_basics():

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from aqr.errors import (DomainError, IdentificationFail, IllConditioned,
                         KernelUnderflow, ZeroVector)
-from aqr.experiments import _rep_seed, _sim2_draw
+from aqr.experiments import _rep_seed, _sim2_draw, fit_pooled
 from aqr.kernel_cde import _BLOCK_CELLS, SQRT_2PI, Dataset, rule_bandwidth
 from aqr.single_index import (MAX_HALVINGS, MAX_STEP,
                               IndexModel, _backtrack, _derivatives,
@@ -189,7 +189,7 @@ def test_fit_rejects_constant_index():
         fit_full(data, 0.4, np.array([1.0, 1.0]))
 
 
-def test_fit_rejects_a_bandwidth_that_isolates_a_row():
+def test_fit_rejects_a_bandwidth_that_isolates_every_row():
     # each row keeps only its own kernel weight, so its CDF is its own
     # indicator: the objective is exactly 0 and every start looks stationary
     data, _ = quadratic_model(np.random.default_rng(2), n=300)
@@ -197,6 +197,28 @@ def test_fit_rejects_a_bandwidth_that_isolates_a_row():
     assert psis_objective(data, init, 1e-8) == 0.0
     with pytest.raises(KernelUnderflow):
         fit_full(data, 1e-8, init)
+
+
+def test_fit_keeps_going_when_one_row_is_isolated():
+    # a far covariate outlier keeps only its own kernel weight at the rule
+    # bandwidth; it adds 0 to its own row's terms while the other rows
+    # still drive the fit, which is the one this data gave before the
+    # isolation rule
+    rng = np.random.default_rng(3)
+    n = 400
+    X = rng.normal(size=(n, 2))
+    X[-1] = [200.0, 200.0]
+    y = np.tanh(X @ np.array([1.0, 2.0]) / math.sqrt(5.0)) \
+        + 0.3 * rng.standard_normal(n)
+    data = Dataset(y, X)
+    z = X @ normalize_beta(np.ones(2))
+    h = rule_bandwidth(z, 0.15).h
+    weights = np.exp(-0.5 * ((z[:, None] - z[None, :]) / h) ** 2)
+    assert (weights[-1] > 0.0).sum() == 1
+    model = fit_pooled(data)
+    assert model.h.h == h
+    np.testing.assert_allclose(
+        model.beta, [0.5133381002334925, 0.8581864569245247], rtol=1e-12)
 
 
 def test_fit_invariant_to_init_scaling():
@@ -400,10 +422,10 @@ def test_shard_parts_independent_of_row_blocks(problem):
     data, beta, h, _ = problem
     want = _parts(data, beta, h)
     # the default puts every shard of up to 60 rows in one block; the
-    # patches give the objective blocks of 1 and 14p rows, the derivatives
-    # blocks of 1 and 7
+    # patches give the objective blocks of 1, 7 and 14p rows, the
+    # derivatives blocks of 1, max(1, 7 // 2p) and 7
     assert _BLOCK_CELLS // (2 * data.p * data.n) > 7
-    for cells in (data.n, 14 * data.p * data.n):
+    for cells in (data.n, 7 * data.n, 14 * data.p * data.n):
         with mock.patch("aqr.kernel_cde._BLOCK_CELLS", cells):
             got = _parts(data, beta, h)
         for a, b in zip(got, want):
