@@ -197,6 +197,20 @@ def test_fit_fixed_bandwidth(tmp_path):
     assert run["config"] == {"bandwidth": 0.8}
 
 
+def test_fit_from_a_pilot_start_reruns_byte_identical(tmp_path):
+    # 600 rows: the fit starts from a pilot on a fixed 150-row subsample
+    data = write_xy_csv(tmp_path / "xy.csv", seed=7, n=600)
+    argv = ["fit", data, "--out", str(tmp_path)]
+    names = ("fit.json", "fit_run.json")
+    assert main(argv) == 0
+    first = [(tmp_path / name).read_bytes() for name in names]
+    table = np.loadtxt(data, delimiter=",", skiprows=1)
+    want = fit_pooled(Dataset(table[:, 0], table[:, 1:]))
+    assert json.loads(first[0])["beta"] == want.beta.tolist()
+    assert main(argv) == 0
+    assert [(tmp_path / name).read_bytes() for name in names] == first
+
+
 @pytest.mark.parametrize("command, config", [
     ("dist-fit", {"K": 4, "sizes": [50, 50]}),
     ("fit", {"bandwidth": 0.4, "rate_exponent": 0.3}),

@@ -17,7 +17,7 @@ from aqr.experiments import (AIRQ_TAUS, SIX_DISTRIBUTIONS, average_aqr_values,
                              run_sim1, run_sim2, run_validate, study_families,
                              violator_families, _rep_seed)
 from aqr.families import es, g_value, qr_dirac, tcrm
-from aqr.kernel_cde import _BLOCK_CELLS, Dataset, cde_curve
+from aqr.kernel_cde import _BLOCK_CELLS, Dataset, _YSorted, cde_curve
 from aqr.oracle import normal, population_aqr, quantile
 from aqr.portfolio import ReturnsMatrix
 
@@ -219,15 +219,26 @@ def test_average_aqr_values_over_row_blocks_matches_one_level_average():
     h = 0.3
     families = [es(), tcrm("half-inverse"), qr_dirac()]
     taus = [0.05, 0.3, 0.5, 0.9, 0.99]
-    # the default splits n = 300 into blocks of 54 rows
-    assert _BLOCK_CELLS // n < n
+    # blocks hold _BLOCK_CELLS level cells (rows x knots): on these 46
+    # knots the default is one block of all 300 rows, and n and 7n cells
+    # give blocks of 6 and 45 rows
+    sizes = set()
+    blocks = _YSorted.blocks
+
+    def spy(self, idx, size=None, depth=1):
+        out = blocks(self, idx, size, depth)
+        sizes.add(out[0].size)
+        return out
+
     for cells in (n, 7 * n, _BLOCK_CELLS):
-        with mock.patch("aqr.kernel_cde._BLOCK_CELLS", cells):
+        with mock.patch("aqr.experiments._BLOCK_CELLS", cells), \
+                mock.patch.object(_YSorted, "blocks", spy):
             got = average_aqr_values(y, z, h, families, taus)
         for means, fam in zip(got, families):
             for value, tau in zip(means, taus):
                 want = _one_level_average(y, z, h, fam, tau)
                 assert abs(value - want) <= 1e-13 * abs(want)
+    assert sizes == {6, 45, n}
 
 
 def test_average_aqr_values_memory_is_bounded_by_row_blocks():

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from aqr.errors import (DomainError, IdentificationFail, IllConditioned,
                         KernelUnderflow, ZeroVector)
-from aqr.experiments import _rep_seed, _sim2_draw, fit_pooled
+from aqr.experiments import (PILOT_MIN_ROWS, _PILOT_SEED, _rep_seed,
+                             _sim2_draw, fit_pooled)
 from aqr.kernel_cde import _BLOCK_CELLS, SQRT_2PI, Dataset, rule_bandwidth
 from aqr.single_index import (MAX_HALVINGS, MAX_STEP,
                               IndexModel, _backtrack, _derivatives,
@@ -215,10 +216,13 @@ def test_fit_keeps_going_when_one_row_is_isolated():
     h = rule_bandwidth(z, 0.15).h
     weights = np.exp(-0.5 * ((z[:, None] - z[None, :]) / h) ** 2)
     assert (weights[-1] > 0.0).sum() == 1
+    direct = fit_full(data, h, normalize_beta(np.ones(2)))
+    np.testing.assert_allclose(
+        direct.beta, [0.5133381002334925, 0.8581864569245247], rtol=1e-12)
+    # n = 400 takes fit_pooled's pilot start, which reaches the same point
     model = fit_pooled(data)
     assert model.h.h == h
-    np.testing.assert_allclose(
-        model.beta, [0.5133381002334925, 0.8581864569245247], rtol=1e-12)
+    assert np.max(np.abs(model.beta - direct.beta)) < 1e-6
 
 
 def test_fit_invariant_to_init_scaling():
@@ -270,6 +274,59 @@ def test_fit_is_stationary_on_sim2_design(master):
     beta = fit_full(data, h, init).beta
     grad = psis_gradient(data, beta, h)
     assert np.max(np.abs(grad - (grad @ beta) * beta)) < 1e-7
+
+
+def _direct_fit(data):
+    init = normalize_beta(np.ones(data.p))
+    return fit_full(data, rule_bandwidth(data.X @ init, 0.15), init)
+
+
+@pytest.mark.parametrize("draw", [("sim2", rep) for rep in range(5)]
+                         + [("quadratic", seed) for seed in (0, 6, 9)])
+def test_pilot_start_reaches_the_direct_fit(draw):
+    design, seed = draw
+    if design == "sim2":
+        y, X = _sim2_draw(np.random.default_rng(_rep_seed(1, 0, seed)), 500)
+        data = Dataset(y, X)
+    else:
+        data, _ = quadratic_model(np.random.default_rng(seed), n=500)
+    direct = _direct_fit(data)
+    model = fit_pooled(data)
+    assert model.h.h == direct.h.h
+    assert np.max(np.abs(model.beta - direct.beta)) < 1e-6
+    want = psis_objective(data, direct.beta, direct.h)
+    assert psis_objective(data, model.beta, model.h) \
+        <= want + 4.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("n", [4 * PILOT_MIN_ROWS - 1, 300])
+def test_below_the_pilot_floor_the_fit_is_the_direct_fit(n):
+    data, _ = quadratic_model(np.random.default_rng(31), n=n)
+    with mock.patch("aqr.experiments.fit_full", wraps=fit_full) as spy:
+        model = fit_pooled(data)
+    assert spy.call_count == 1
+    assert np.array_equal(model.beta, _direct_fit(data).beta)
+
+
+def test_a_failed_pilot_leaves_the_all_ones_start():
+    data, _ = quadratic_model(np.random.default_rng(32), n=4 * PILOT_MIN_ROWS)
+    direct = _direct_fit(data)
+    with mock.patch("aqr.experiments.fit_pooled",
+                    side_effect=IllConditioned("pilot failed")) as pilot:
+        model = fit_pooled(data)
+    assert pilot.call_count == 1
+    assert np.array_equal(model.beta, direct.beta)
+    # errors of the full fit still propagate
+    with pytest.raises(KernelUnderflow):
+        fit_pooled(data, bandwidth=1e-8)
+    # the pilot subsample on the line x1 + x2 = 4 has an all-ones index
+    # constant up to rounding, and its fit fails; the full fit still
+    # starts from all-ones
+    rows = np.random.default_rng(_PILOT_SEED).permutation(data.n)[:100]
+    X = data.X.copy()
+    X[rows, 1] = 4.0 - X[rows, 0]
+    data = Dataset(data.y, X)
+    assert np.array_equal(fit_pooled(data).beta, _direct_fit(data).beta)
 
 
 # a grid on [-10, 10]: exact zeros occur, and no entry is so small that a
