@@ -311,18 +311,20 @@ def fit_pooled(data, rate_exponent=INDEX_RATE_EXPONENT, bandwidth=None):
     """Pooled index fit at `bandwidth` or, when that is None, at the rule
     bandwidth of the all-ones index.
 
-    Below 4 * PILOT_MIN_ROWS rows, fit_full starts from the all-ones
-    direction. Otherwise it starts from a pilot: the pooled fit, by this
-    same recipe at its own rule bandwidth, of the first ceil(n/4) rows of a
-    fixed-seed permutation, shard labels dropped. The pilot's Newton steps
-    and line-search halvings cost a sixteenth of a full-data walk, and the
-    full fit keeps its exits, so it still ends at a stationary point of the
-    full criterion at this bandwidth. A pilot that fails with an AqrError
-    leaves the all-ones start.
+    A fit at the caller's bandwidth, or on fewer than 4 * PILOT_MIN_ROWS
+    rows, starts fit_full from the all-ones direction. A rule-bandwidth fit
+    on more rows starts it from a pilot: the pooled fit, by this same recipe
+    at its own rule bandwidth, of the first ceil(n/4) rows of a fixed-seed
+    permutation, shard labels dropped. The pilot's Newton steps and
+    line-search halvings cost a sixteenth of a full-data walk, and the full
+    fit keeps its exits, so it still ends at a stationary point of the full
+    criterion at this bandwidth. A pilot that fails with an AqrError leaves
+    the all-ones start.
     """
     init = normalize_beta(np.ones(data.p))
-    if bandwidth is None:
-        bandwidth = rule_bandwidth(data.X @ init, rate_exponent)
+    if bandwidth is not None:
+        return fit_full(data, bandwidth, init)
+    bandwidth = rule_bandwidth(data.X @ init, rate_exponent)
     if data.n >= 4 * PILOT_MIN_ROWS:
         rows = np.random.default_rng(_PILOT_SEED).permutation(data.n)
         rows = rows[:(data.n + 3) // 4]

@@ -18,6 +18,7 @@ from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _read_numeric_csv,
 from aqr.errors import ParseError
 from aqr.experiments import fit_pooled
 from aqr.kernel_cde import Dataset
+from aqr.single_index import fit_full, normalize_beta
 
 RUN_RECORD_KEYS = ["command", "config", "config_sha256", "seed", "version",
                    "outputs", "report"]
@@ -195,6 +196,20 @@ def test_fit_fixed_bandwidth(tmp_path):
     assert fit["h"] == 0.8
     run = json.loads((tmp_path / "fit_run.json").read_text())
     assert run["config"] == {"bandwidth": 0.8}
+
+
+def test_fit_fixed_bandwidth_from_the_all_ones_start(tmp_path):
+    # 600 rows: a configured bandwidth takes no pilot, and the fit is the
+    # one from the all-ones direction
+    data = write_xy_csv(tmp_path / "xy.csv", seed=6, n=600)
+    cfg = write_json(tmp_path / "cfg.json", {"bandwidth": 0.8})
+    assert main(["fit", data, "--config", cfg, "--out", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["h"] == 0.8
+    table = np.loadtxt(data, delimiter=",", skiprows=1)
+    want = fit_full(Dataset(table[:, 0], table[:, 1:]), 0.8,
+                    normalize_beta(np.ones(2)))
+    assert fit["beta"] == want.beta.tolist()
 
 
 def test_fit_from_a_pilot_start_reruns_byte_identical(tmp_path):

@@ -308,6 +308,17 @@ def test_below_the_pilot_floor_the_fit_is_the_direct_fit(n):
     assert np.array_equal(model.beta, _direct_fit(data).beta)
 
 
+def test_a_fixed_bandwidth_fit_takes_no_pilot():
+    data, _ = quadratic_model(np.random.default_rng(33), n=4 * PILOT_MIN_ROWS)
+    init = normalize_beta(np.ones(data.p))
+    for h in (0.8, 4.0 * rule_bandwidth(data.X @ init, 0.15).h):
+        with mock.patch("aqr.experiments.fit_full", wraps=fit_full) as spy:
+            model = fit_pooled(data, None, h)
+        assert spy.call_count == 1
+        assert model.h.h == h
+        assert np.array_equal(model.beta, fit_full(data, h, init).beta)
+
+
 def test_a_failed_pilot_leaves_the_all_ones_start():
     data, _ = quadratic_model(np.random.default_rng(32), n=4 * PILOT_MIN_ROWS)
     direct = _direct_fit(data)
