@@ -29,7 +29,7 @@ from jsonschema.validators import validator_for
 from . import __version__
 from . import experiments as ex
 from .errors import AqrError, ParseError
-from .families import WeightFamily, omega
+from .families import KINDS, SCHEDULES, WeightFamily, omega
 from .kernel_cde import Dataset
 from .distributed import ShardPlan, partition
 from .portfolio import DEFAULT_ITERATIONS, DEFAULT_STARTS, ReturnsMatrix
@@ -39,8 +39,10 @@ _TAU_ITEM = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _TAU_LIST = {"type": "array", "items": _TAU_ITEM, "minItems": 1}
 _FAMILY = {
     "type": "object",
-    "properties": {"kind": {"type": "string"}, "a": {"type": "number"},
-                   "schedule": {"type": "string"}},
+    "properties": {"kind": {"enum": [name for name, kind in KINDS.items()
+                                     if kind.config]},
+                   "a": {"type": "number"},
+                   "schedule": {"enum": list(SCHEDULES)}},
     "required": ["kind"],
     "additionalProperties": False,
     "default": {"kind": "es"},

@@ -16,8 +16,9 @@ from .distributed import (ShardPlan, _central_shard, aae, local_init,
                           partition, run_distributed)
 from .errors import AqrError, DomainError, ParseError
 from .estimator import _telescope, aqr_conditional, rpad
-from .families import (WeightFamily, _tau, es, exp_spectral, extremile, ge,
-                       ges, qr_dirac, tabulated, tcrm, validate_c1)
+from .families import (KINDS, WeightFamily, _tau, es, exp_spectral,
+                       extremile, ge, ges, qr_dirac, tabulated, tcrm,
+                       validate_c1)
 from .kernel_cde import (_BLOCK_CELLS, Dataset, _YSorted, _as_bandwidth,
                          cde_curve, cv_bandwidth, rule_bandwidth)
 from .oracle import (beta_dist, exponential, frechet_limit_ratio, normal,
@@ -133,20 +134,6 @@ COMPARE_TAUS = tuple(round(0.90 + 0.01 * i, 2) for i in range(9))
 _TAIL_GAMMA = {"t3": 1.0 / 3.0, "t1.2": 1.0 / 1.2}
 
 
-def _limit_ratio(family_label, gamma):
-    if family_label == "es":
-        return frechet_limit_ratio("ges", gamma, a=0.0)
-    if family_label == "ges":
-        return frechet_limit_ratio("ges", gamma, a=1.0)
-    if family_label == "extremile":
-        return frechet_limit_ratio("ge", gamma, A=math.log(2.0))
-    if family_label == "ge":
-        return frechet_limit_ratio("ge", gamma, A=0.5)
-    if family_label == "tcrm":
-        return frechet_limit_ratio("tcrm", gamma, A=0.5)
-    raise DomainError(f"no tail limit for family {family_label!r}")
-
-
 def compare_rows(taus=COMPARE_TAUS):
     """Population value per (distribution, family, tau) plus the quantile.
 
@@ -157,7 +144,9 @@ def compare_rows(taus=COMPARE_TAUS):
     for dist_label, domain, dist in SIX_DISTRIBUTIONS:
         gamma = _TAIL_GAMMA.get(dist_label)
         for fam_label, fam in study_families():
-            ratio = _limit_ratio(fam_label, gamma) if gamma else None
+            kind, args = KINDS[fam.kind].tail(fam)
+            ratio = (frechet_limit_ratio(kind, gamma, **args) if gamma
+                     else None)
             for tau in taus:
                 rows.append({
                     "distribution": dist_label,

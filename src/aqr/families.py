@@ -6,49 +6,36 @@ J is exposed for direct L-estimator weighting and for validation. Families
 defined on tau <= 1/2 extend to tau > 1/2 through the reverse rule
 J_tau(s) = J_{1-tau}(1-s), equivalently G_tau(u) = 1 - G_{1-tau}((1-u)-).
 
-scipy's quadrature is imported inside the one check that integrates J, so
-that importing the package, and every command that never validates a family,
-does not pay scipy's import.
+A spectral risk measure is fixed by its spectrum J (Acerbi 2002), so each
+kind of family is written down once, as one Kind record in KINDS. The
+functions below read the records and never branch on a kind.
+
+scipy is imported inside the check that integrates J, so that importing the
+package, and every command that never validates a family, does not pay
+scipy's import.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ScheduleDomain, SingularDensity
-
-KINDS = ("qr-dirac", "es", "ges", "extremile", "ge", "tcrm", "expspectral",
-         "tabulated")
-SCHEDULES = ("half-inverse", "cotangent", "extremile-equivalent")
 
 # Below this size an alpha shape parameter is treated as its analytic limit
 # (J == 1), covering the removable singularities of the cotangent schedule at
 # tau = 1/2 and of the truncated-Cauchy density at alpha = 0.
 ALPHA_LIMIT = 1e-8
 
-
-def half_inverse_alpha(t):
-    return 0.5 / t - 1.0
-
-
-def cotangent_alpha(t):
-    return 0.5 * math.pi / math.tan(math.pi * t)
-
-
-def extremile_equivalent_alpha(t):
-    return -math.log(2.0 - 2.0 * t) / math.log1p(-t)
-
-
-def extremile_alpha(t):
-    """Exponent of the extremile weight density at base level t."""
-    return math.log(0.5) / math.log1p(-t) - 1.0
-
-
-_SCHEDULE_FUNCS = {
-    "half-inverse": half_inverse_alpha,
-    "cotangent": cotangent_alpha,
-    "extremile-equivalent": extremile_equivalent_alpha,
+# The alpha schedules of GE and TCRM: alpha at base level t, and the limit A
+# of alpha * t as t -> 0, which fixes the Frechet tail limit.
+SCHEDULES = {
+    "half-inverse": (lambda t: 0.5 / t - 1.0, 0.5),
+    "cotangent": (lambda t: 0.5 * math.pi / math.tan(math.pi * t), 0.5),
+    "extremile-equivalent": (
+        lambda t: -math.log(2.0 - 2.0 * t) / math.log1p(-t), math.log(2.0)),
 }
 
 
@@ -60,12 +47,226 @@ def _tau(tau):
     return v
 
 
+# ---------------------------------------------------------------------------
+# Parts of the kinds, in the kind's shape at the base level tb. The level
+# maps invert the base side's G in three forms that avoid cancellation:
+# s_from_v(v) = G^{-1}(v), accurate for small v;
+# c_from_u(u) = 1 - G^{-1}(1-u), accurate for small u;
+# s_comp(v)   = G^{-1}(1-v), accurate for small v (never forms 1-v).
+
+def _reflected(j):
+    """J of a kind written on the base side, extended by the reverse rule."""
+    return lambda shape, t, tb, s: j(shape, tb, s if t <= 0.5 else 1.0 - s)
+
+
+def _ges_a(family):
+    a = 1.0 if family.a is None else float(family.a)
+    if not (a >= 0.0 and math.isfinite(a)):
+        raise DomainError(f"GES shape a must be >= 0, got {family.a!r}")
+    return {"a": a}
+
+
+def _ges_j(a, tb, sb):
+    # for a large a at a small tb the peak (1+a)/tb^(1+a) is no float
+    try:
+        peak = (1.0 + a) * tb ** (-1.0 - a)
+    except OverflowError:
+        peak = math.inf
+    if math.isinf(peak):
+        raise DomainError(f"GES density with a={a:g} overflows at base "
+                          f"level {tb:g}; take a smaller shape a")
+    return np.where(sb <= tb, peak * np.maximum(tb - sb, 0.0) ** a, 0.0)
+
+
+def _ges_g(a, t, tb, u):
+    if t <= 0.5:
+        with np.errstate(divide="ignore"):
+            return np.where(u < tb,
+                            -np.expm1((1.0 + a)
+                                      * np.log1p(-np.minimum(u, tb) / tb)),
+                            1.0)
+    return np.where(u > t, ((np.maximum(u, t) - t) / tb) ** (1.0 + a), 0.0)
+
+
+def _ges_maps(a, tb):
+    k = 1.0 / (1.0 + a)
+    return (lambda v: tb if v >= 1.0 else
+            -tb * math.expm1(math.log1p(-v) * k),
+            lambda u: (1.0 - tb) + tb * u ** k,
+            lambda v: -tb * math.expm1(k * math.log(v)))
+
+
+def _schedule(family):
+    sched = family.schedule if family.schedule is not None else "half-inverse"
+    if isinstance(sched, str) and sched not in SCHEDULES:
+        raise DomainError(f"unknown schedule {sched!r}")
+    if not isinstance(sched, str) and not callable(sched):
+        raise DomainError("schedule must be a name or a callable")
+    return {"schedule": sched}
+
+
+def _scheduled_alpha(family, tb):
+    fn = family.schedule
+    alpha = float((SCHEDULES[fn][0] if isinstance(fn, str) else fn)(tb))
+    if not math.isfinite(alpha) or alpha <= -1.0:
+        raise ScheduleDomain(f"schedule gives alpha={alpha!r} at base level "
+                             f"{tb} (needs alpha > -1)")
+    return alpha
+
+
+def _ge_g(alpha, t, tb, u):
+    if t <= 0.5:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = -np.expm1((alpha + 1.0) * np.log1p(-np.minimum(u, 1.0)))
+        return np.where(u >= 1.0, 1.0, raw)
+    return u ** (alpha + 1.0)
+
+
+def _tcrm_maps(alpha, tb):
+    at = math.atan(alpha)
+
+    def c_from_u(u):
+        td = math.tan(u * at)
+        return td * (1.0 + alpha * alpha) / (alpha * (1.0 + alpha * td))
+
+    def s_comp(v):
+        # tan(at - v*at)/alpha via the tangent difference identity
+        td = math.tan(v * at)
+        return (alpha - td) / (alpha * (1.0 + alpha * td))
+
+    return lambda v: math.tan(v * at) / alpha, c_from_u, s_comp
+
+
+def _exp_g(b, t, tb, u):
+    lb = math.log(b)
+    if t <= 0.5:
+        raw = np.expm1(u * lb) / (b - 1.0)
+    else:
+        raw = 1.0 - np.expm1((1.0 - u) * lb) / (b - 1.0)
+    return np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, raw))
+
+
+def _exp_maps(b, tb):
+    lb = math.log(b)
+    return (lambda v: math.log1p(v * (b - 1.0)) / lb,
+            lambda u: -math.log1p(-u * (b - 1.0) / b) / lb,
+            lambda v: 1.0 + math.log1p(-v * (b - 1.0) / b) / lb)
+
+
+def _grids(family):
+    gs = np.asarray(family.grid_s, dtype=float)
+    gj = np.asarray(family.grid_j, dtype=float)
+    if gs.ndim != 1 or gs.shape != gj.shape or gs.size < 2:
+        raise DomainError("tabulated family needs matching 1-d grids")
+    if gs[0] != 0.0 or gs[-1] != 1.0 or np.any(np.diff(gs) <= 0):
+        raise DomainError("tabulated s-grid must increase from 0 to 1")
+    return {"grid_s": tuple(gs), "grid_j": tuple(gj)}
+
+
+def _tabulated_cumulative(family):
+    gs = np.asarray(family.grid_s)
+    gj = np.asarray(family.grid_j)
+    seg = 0.5 * (gj[1:] + gj[:-1]) * np.diff(gs)
+    return gs, np.concatenate(([0.0], np.cumsum(seg)))
+
+
+class Kind(NamedTuple):
+    """One kind of weight family. Its shape at a base level tb = min(tau,
+    1-tau) is resolved once per (family, tau); a shape whose offset from the
+    uniform weight is below ALPHA_LIMIT answers as UNIFORM."""
+    takes: tuple = ()         # the parameters beside kind
+    check: Callable = None    # family -> {parameter: stored value}
+    label: Callable = lambda family: family.kind
+    shape: Callable = lambda family, tb: family
+    alpha: bool = False       # the shape is an alpha schedule
+    offset: Callable = None   # shape -> its distance from J == 1
+    j: Callable = None        # (shape, t, tb, s) -> J_t(s); None: no density
+    g: Callable = None        # (shape, t, tb, u) -> G_t(u)
+    maps: Callable = None     # (shape, tb) -> (s_from_v, c_from_u, s_comp)
+    mass: Callable = None     # family -> exact integral of J, if it has one
+    limit: Callable = None    # (scipy.special, gamma, a or A) -> tail limit
+    tail: Callable = None     # family -> (kind, limit arguments) of its tail
+    config: bool = True       # a config file can name the kind
+
+
+UNIFORM = Kind(
+    j=lambda _, t, tb, s: np.ones_like(s),
+    g=lambda _, t, tb, u: u.copy() if isinstance(u, np.ndarray) else u,
+    maps=lambda _, tb: (lambda v: v, lambda u: u, lambda v: 1.0 - v))
+# GE is GES with its support stretched to [0, 1], so its maps are GES's at 1
+_GE = dict(alpha=True, offset=abs, g=_ge_g,
+           maps=lambda alpha, tb: _ges_maps(alpha, 1.0),
+           j=_reflected(lambda alpha, tb, sb: (1.0 + alpha)
+                        * (1.0 - sb) ** alpha))
+_SCHEDULED = dict(
+    takes=("schedule",), check=_schedule, shape=_scheduled_alpha,
+    label=lambda f: "{}({})".format(
+        f.kind, f.schedule if isinstance(f.schedule, str) else "custom"),
+    tail=lambda f: (f.kind, {"A": SCHEDULES[f.schedule][1]
+                             if isinstance(f.schedule, str) else None}))
+
+KINDS = {
+    "qr-dirac": Kind(g=lambda _, t, tb, u: (u >= t).astype(float)),
+    "es": Kind(
+        j=_reflected(lambda _, tb, sb: np.where(sb <= tb, 1.0 / tb, 0.0)),
+        g=lambda _, t, tb, u: (np.minimum(u / tb, 1.0) if t <= 0.5
+                               else np.maximum(0.0, (u - t) / tb)),
+        maps=lambda _, tb: (lambda v: tb * v,
+                            lambda u: 1.0 - tb * (1.0 - u),
+                            lambda v: tb * (1.0 - v)),
+        tail=lambda f: ("ges", {"a": 0.0})),
+    "ges": Kind(takes=("a",), check=_ges_a, shape=lambda f, tb: f.a,
+                label=lambda f: f"ges(a={f.a:g})", j=_reflected(_ges_j),
+                g=_ges_g, maps=_ges_maps, tail=lambda f: ("ges", {"a": f.a}),
+                limit=lambda sp, gamma, a: (1.0 + a)
+                * sp.beta(1.0 - gamma, 1.0 + a)),
+    "extremile": Kind(
+        **_GE, shape=lambda f, tb: math.log(0.5) / math.log1p(-tb) - 1.0,
+        tail=lambda f: ("ge", {"A": math.log(2.0)})),
+    "ge": Kind(**_GE, **_SCHEDULED,
+               limit=lambda sp, gamma, A: A ** gamma * sp.gamma(1.0 - gamma)),
+    "tcrm": Kind(
+        **_SCHEDULED, alpha=True, offset=abs,
+        limit=lambda sp, gamma, A: (A ** gamma
+                                    / math.cos(gamma * math.pi / 2.0)),
+        j=_reflected(lambda alpha, tb, sb: alpha / (
+            (1.0 + (alpha * sb) ** 2) * math.atan(alpha))),
+        g=lambda alpha, t, tb, u: (
+            np.arctan(alpha * u) / math.atan(alpha) if t <= 0.5
+            else 1.0 - np.arctan(alpha * (1.0 - u)) / math.atan(alpha)),
+        maps=_tcrm_maps),
+    "expspectral": Kind(shape=lambda f, tb: 2.0 * tb,
+                        offset=lambda b: b - 1.0, g=_exp_g, maps=_exp_maps,
+                        j=_reflected(lambda b, tb, sb: np.exp(sb * math.log(b))
+                                     * math.log(b) / (b - 1.0))),
+    "tabulated": Kind(takes=("grid_s", "grid_j"), check=_grids,
+                      j=lambda f, t, tb, s: np.interp(s, f.grid_s, f.grid_j),
+                      g=lambda f, t, tb, u: np.interp(
+                          u, *_tabulated_cumulative(f)),
+                      # J is the piecewise-linear interpolant, whose exact
+                      # integral is the trapezoid sum on its own grid
+                      mass=lambda f: float(_tabulated_cumulative(f)[1][-1]),
+                      config=False),
+}
+_CONFIG_FIELDS = {"kind"}.union(*(k.takes for k in KINDS.values() if k.config))
+
+
+def _at(family, t):
+    """The family's kind record, its shape at t and the base level."""
+    kind = KINDS[family.kind]
+    tb = min(t, 1.0 - t)
+    shape = kind.shape(family, tb)
+    if kind.offset is not None and abs(kind.offset(shape)) < ALPHA_LIMIT:
+        kind = UNIFORM
+    return kind, shape, tb
+
+
 @dataclass(frozen=True)
 class WeightFamily:
     """Descriptor of one weight family.
 
-    kind : one of KINDS.
-    a : shape parameter, GES only (a >= 0).
+    kind : a name in KINDS; its record says which other fields it takes.
+    a : shape parameter, GES only (a >= 0, default 1).
     schedule : alpha schedule for GE/TCRM; a name from SCHEDULES or, as a
         test-only escape hatch, a callable tau -> alpha.
     grid_s, grid_j : tabulated density values (test-only escape hatch);
@@ -79,57 +280,31 @@ class WeightFamily:
     grid_j: tuple = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind is None:
             raise DomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == "ges":
-            a = 1.0 if self.a is None else float(self.a)
-            if not (a >= 0.0 and math.isfinite(a)):
-                raise DomainError(f"GES shape a must be >= 0, got {self.a!r}")
-            object.__setattr__(self, "a", a)
-        elif self.a is not None:
-            raise DomainError(f"shape a applies to GES only, not {self.kind}")
-        if self.kind in ("ge", "tcrm"):
-            sched = self.schedule if self.schedule is not None else "half-inverse"
-            if isinstance(sched, str) and sched not in SCHEDULES:
-                raise DomainError(f"unknown schedule {sched!r}")
-            if not isinstance(sched, str) and not callable(sched):
-                raise DomainError("schedule must be a name or a callable")
-            object.__setattr__(self, "schedule", sched)
-        elif self.schedule is not None:
-            raise DomainError(f"schedule applies to GE/TCRM only, not {self.kind}")
-        if self.kind == "tabulated":
-            gs = np.asarray(self.grid_s, dtype=float)
-            gj = np.asarray(self.grid_j, dtype=float)
-            if gs.ndim != 1 or gs.shape != gj.shape or gs.size < 2:
-                raise DomainError("tabulated family needs matching 1-d grids")
-            if gs[0] != 0.0 or gs[-1] != 1.0 or np.any(np.diff(gs) <= 0):
-                raise DomainError("tabulated s-grid must increase from 0 to 1")
-            object.__setattr__(self, "grid_s", tuple(gs))
-            object.__setattr__(self, "grid_j", tuple(gj))
-        elif self.grid_s is not None or self.grid_j is not None:
-            raise DomainError("density grids apply to tabulated families only")
+        for field in fields(self)[1:]:
+            if field.name not in kind.takes \
+                    and getattr(self, field.name) is not None:
+                raise DomainError(f"{self.kind} takes no {field.name}")
+        for name, value in (kind.check(self) if kind.check else {}).items():
+            object.__setattr__(self, name, value)
 
     @property
     def singular(self):
-        return self.kind == "qr-dirac"
+        """True for the pure-quantile family, whose weight has no density."""
+        return KINDS[self.kind].j is None
 
     def label(self):
         """Short human-readable identifier used in reports and CSV output."""
-        if self.kind == "ges":
-            return f"ges(a={self.a:g})"
-        if self.kind in ("ge", "tcrm"):
-            sched = self.schedule if isinstance(self.schedule, str) else "custom"
-            return f"{self.kind}({sched})"
-        return self.kind
+        return KINDS[self.kind].label(self)
 
     @classmethod
     def from_json(cls, obj):
-        allowed = {"kind", "a", "schedule"}
-        extra = set(obj) - allowed
+        extra = set(obj) - _CONFIG_FIELDS
         if extra:
             raise DomainError(f"unknown family fields {sorted(extra)}")
-        return cls(kind=obj.get("kind"), a=obj.get("a"),
-                   schedule=obj.get("schedule"))
+        return cls(**{"kind": None, **obj})  # no kind is an unknown kind
 
 
 def qr_dirac():
@@ -170,38 +345,38 @@ def omega(tau):
 
 
 def resolve_alpha(family, tau):
-    """Shape exponent alpha at the base level min(tau, 1-tau).
-
-    Applies to GE, TCRM and Extremile; returns the exact schedule value
-    (callers apply the ALPHA_LIMIT rule themselves where relevant).
-    """
+    """Exact shape exponent alpha at the base level min(tau, 1-tau), before
+    the ALPHA_LIMIT rule, of a kind with an alpha schedule."""
     t = _tau(tau)
-    tb = min(t, 1.0 - t)
-    if family.kind == "extremile":
-        return extremile_alpha(tb)
-    if family.kind not in ("ge", "tcrm"):
+    kind = KINDS[family.kind]
+    if not kind.alpha:
         raise DomainError(f"{family.kind} has no alpha schedule")
-    fn = _SCHEDULE_FUNCS[family.schedule] if isinstance(family.schedule, str) \
-        else family.schedule
-    alpha = float(fn(tb))
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise ScheduleDomain(
-            f"schedule gives alpha={alpha!r} at tau={t} (needs alpha > -1)")
-    return alpha
+    return kind.shape(family, min(t, 1.0 - t))
 
 
-def _as_unit_interval(x, name):
+def level_maps(family, t):
+    """(s_from_v, c_from_u, s_comp) for the base side of `family` at t."""
+    kind, shape, tb = _at(family, t)
+    if kind.maps is None:
+        raise DomainError(f"population value not defined for {family.kind}")
+    return kind.maps(shape, tb)
+
+
+def _on_unit_interval(fn, x, name):
+    """fn at x checked and clipped into [0,1]; a float for a scalar x."""
     arr = np.asarray(x, dtype=float)
     if arr.size and (np.min(arr) < -1e-12 or np.max(arr) > 1.0 + 1e-12):
         raise DomainError(f"{name} must lie in [0,1]")
-    return np.clip(arr, 0.0, 1.0)
+    out = fn(np.clip(arr, 0.0, 1.0))
+    return float(out) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else out
 
 
-def _tabulated_cumulative(family):
-    gs = np.asarray(family.grid_s)
-    gj = np.asarray(family.grid_j)
-    seg = 0.5 * (gj[1:] + gj[:-1]) * np.diff(gs)
-    return gs, np.concatenate(([0.0], np.cumsum(seg)))
+def _density(family, t):
+    """J_t on [0,1] with the shape at t resolved once; it checks nothing."""
+    kind, shape, tb = _at(family, t)
+    if kind.j is None:
+        raise SingularDensity("the pure-quantile family has no density")
+    return partial(kind.j, shape, t, tb)
 
 
 def j_value(family, tau, s):
@@ -211,42 +386,7 @@ def j_value(family, tau, s):
     boundary (J_tau(tau) = 1/tau for ES) so that discrete plotting-position
     weights at the boundary are well-defined.
     """
-    t = _tau(tau)
-    if family.kind == "qr-dirac":
-        raise SingularDensity("the pure-quantile family has no density")
-    s_arr = _as_unit_interval(s, "s")
-    scalar = np.isscalar(s) or getattr(s, "ndim", 1) == 0
-    out = _j_inner(family, t, s_arr)
-    return float(out) if scalar else out
-
-
-def _j_inner(family, t, s):
-    if family.kind == "tabulated":
-        return np.interp(s, family.grid_s, family.grid_j)
-
-    tb = min(t, 1.0 - t)
-    sb = s if t <= 0.5 else 1.0 - s
-    if family.kind == "es":
-        return np.where(sb <= tb, 1.0 / tb, 0.0)
-    if family.kind == "ges":
-        a = family.a
-        return np.where(sb <= tb,
-                        (1.0 + a) * tb ** (-1.0 - a)
-                        * np.maximum(tb - sb, 0.0) ** a,
-                        0.0)
-    if family.kind == "expspectral":
-        b = 2.0 * tb
-        if abs(b - 1.0) < ALPHA_LIMIT:
-            return np.ones_like(sb)
-        lb = math.log(b)
-        return np.exp(sb * lb) * lb / (b - 1.0)
-    alpha = resolve_alpha(family, t)
-    if abs(alpha) < ALPHA_LIMIT:
-        return np.ones_like(sb)
-    if family.kind == "tcrm":
-        return alpha / ((1.0 + (alpha * sb) ** 2) * math.atan(alpha))
-    # ge, extremile
-    return (1.0 + alpha) * (1.0 - sb) ** alpha
+    return _on_unit_interval(_density(family, _tau(tau)), s, "s")
 
 
 def g_value(family, tau, u):
@@ -254,63 +394,12 @@ def g_value(family, tau, u):
 
     G(0) = 0 and G(1) = 1 exactly; QR-Dirac returns the unit step I(u >= tau).
     """
-    t = _tau(tau)
-    u_arr = _as_unit_interval(u, "u")
-    scalar = np.isscalar(u) or getattr(u, "ndim", 1) == 0
-    out = _g_inner(family, t, u_arr)
-    return float(out) if scalar else out
+    return _on_unit_interval(partial(_g_inner, family, _tau(tau)), u, "u")
 
 
 def _g_inner(family, t, u):
-    if family.kind == "qr-dirac":
-        return (u >= t).astype(float)
-    if family.kind == "tabulated":
-        gs, cum = _tabulated_cumulative(family)
-        return np.interp(u, gs, cum)
-
-    tb = min(t, 1.0 - t)
-    lower = t <= 0.5
-
-    if family.kind == "es":
-        if lower:
-            return np.minimum(u / tb, 1.0)
-        return np.maximum(0.0, (u - t) / tb)
-    if family.kind == "ges":
-        a = family.a
-        if lower:
-            with np.errstate(divide="ignore"):
-                return np.where(u < tb,
-                                -np.expm1((1.0 + a)
-                                          * np.log1p(-np.minimum(u, tb) / tb)),
-                                1.0)
-        return np.where(u > t,
-                        ((np.maximum(u, t) - t) / tb) ** (1.0 + a),
-                        0.0)
-    if family.kind == "expspectral":
-        b = 2.0 * tb
-        if abs(b - 1.0) < ALPHA_LIMIT:
-            return u.copy() if isinstance(u, np.ndarray) else u
-        lb = math.log(b)
-        if lower:
-            raw = np.expm1(u * lb) / (b - 1.0)
-        else:
-            raw = 1.0 - np.expm1((1.0 - u) * lb) / (b - 1.0)
-        return np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, raw))
-
-    alpha = resolve_alpha(family, t)
-    if abs(alpha) < ALPHA_LIMIT:
-        return u.copy() if isinstance(u, np.ndarray) else u
-    if family.kind == "tcrm":
-        at = math.atan(alpha)
-        if lower:
-            return np.arctan(alpha * u) / at
-        return 1.0 - np.arctan(alpha * (1.0 - u)) / at
-    # ge, extremile
-    if lower:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = -np.expm1((alpha + 1.0) * np.log1p(-np.minimum(u, 1.0)))
-        return np.where(u >= 1.0, 1.0, raw)
-    return u ** (alpha + 1.0)
+    kind, shape, tb = _at(family, t)
+    return kind.g(shape, t, tb, u)
 
 
 def default_tau_grid():
@@ -338,16 +427,7 @@ class ValidationReport:
     checks: dict
 
     def to_json(self):
-        return {
-            "family": self.family,
-            "passed": self.passed,
-            "singular_exempt": self.singular_exempt,
-            "checks": {
-                name: {"passed": c.passed, "witness": c.witness,
-                       "detail": c.detail}
-                for name, c in self.checks.items()
-            },
-        }
+        return asdict(self)
 
 
 def _check_positivity_normalization(family, tau_grid, s_grid):
@@ -361,18 +441,16 @@ def _check_positivity_normalization(family, tau_grid, s_grid):
             return CheckResult(False, {"tau": t, "s": float(s[k]),
                                        "j": float(j[k])},
                                "negative density value")
+    mass = KINDS[family.kind].mass
     for t in tau_grid:
         tb = min(t, 1.0 - t)
-        if family.kind == "tabulated":
-            # The tabulated J *is* the piecewise-linear interpolant, whose
-            # exact integral is the trapezoid sum on its own grid.
-            total = float(_tabulated_cumulative(family)[1][-1])
+        if mass is not None:
+            total = mass(family)
         else:
             pts = sorted({tb, 1.0 - tb})
-            # quad's nodes lie in [0,1]: skip j_value's argument checks, but
-            # hand _j_inner the float64 scalar they would have made
+            density = _density(family, t)  # quad's nodes need no checks
             total, _ = integrate.quad(
-                lambda x: float(_j_inner(family, t, np.float64(x))),
+                lambda x: float(density(np.float64(x))),
                 0.0, 1.0, points=pts, limit=200, epsabs=1e-12, epsrel=1e-12)
         if abs(total - 1.0) >= 1e-10:
             return CheckResult(False, {"tau": t, "integral": total},

@@ -16,6 +16,7 @@ import aqr
 from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _read_numeric_csv,
                      build_parser, config_schema, main)
 from aqr.errors import ParseError
+from aqr.families import KINDS, SCHEDULES
 from aqr.experiments import fit_pooled
 from aqr.kernel_cde import Dataset
 from aqr.single_index import fit_full, normalize_beta
@@ -245,11 +246,15 @@ def test_conflicting_config_keys_exit_2(tmp_path, capsys, command, config):
     ("risk", {"family": {"kind": "ge", "schedule": "nope"}}),
     ("risk", {"family": {"kind": "tabulated"}}),
     ("risk", {"family": {"kind": "ges", "a": -1}}),
+    ("risk", {"family": {"kind": 3}}),
+    ("risk", {"family": {"kind": "es", "schedule": "cotangent"}}),
     ("portfolio", {"family": {"kind": "foo"}}),
+    ("portfolio", {"family": {"kind": "tcrm", "schedule": "nope"}}),
     ("validate", {"violators": ["nope"]}),
     ("sim2", {"n": 20, "K": 15, "reps": 1}),
 ], ids=["kind", "es-shape", "schedule", "tabulated", "ges-negative",
-        "portfolio-kind", "violator", "sim2-shards"])
+        "kind-number", "es-schedule", "portfolio-kind", "portfolio-schedule",
+        "violator", "sim2-shards"])
 def test_config_the_engines_reject_exits_2_before_any_input(
         tmp_path, capsys, command, config):
     # the input files do not exist: the config is rejected before they
@@ -262,6 +267,15 @@ def test_config_the_engines_reject_exits_2_before_any_input(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "config error" in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_family_schema_reads_kinds_and_schedules_off_the_records():
+    family = SCHEMAS["risk"]["properties"]["family"]
+    assert SCHEMAS["portfolio"]["properties"]["family"] is family
+    # no config can supply a tabulated family's grids
+    assert family["properties"]["kind"]["enum"] == [
+        kind for kind in KINDS if kind != "tabulated"]
+    assert family["properties"]["schedule"]["enum"] == list(SCHEDULES)
 
 
 @pytest.mark.parametrize("command", [name for name, schema in SCHEMAS.items()
@@ -506,6 +520,35 @@ def test_portfolio_cli(tmp_path):
     assert 0 <= diag["best_start"] < 3
     assert main(argv) == 0
     assert [(tmp_path / name).read_bytes() for name in names] == first
+
+
+@pytest.mark.parametrize("command", ["risk", "portfolio"])
+@pytest.mark.parametrize("a", [235, 300])
+def test_ges_shape_past_the_float_range_exits_1_with_one_line(
+        tmp_path, capsys, command, a):
+    # at tau = 0.05 the GES density's peak (1+a)/0.05^(1+a) is inf for
+    # a = 235 and raises OverflowError for a = 300; a = 234 is finite
+    rng = np.random.default_rng(3)
+    column = "x\n" + "\n".join(str(float(v)) for v in rng.normal(size=2000))
+    (tmp_path / "col.csv").write_text(column + "\n")
+    inputs = [str(tmp_path / "col.csv")]
+    if command == "portfolio":
+        table = "a,b\n" + "\n".join(f"{float(x)},{float(y)}" for x, y in
+                                     rng.normal(0.0, 0.01, (60, 2)))
+        bench = "\n".join(str(float(v)) for v in rng.normal(0.0, 0.01, 60))
+        (tmp_path / "bench.csv").write_text("bench\n" + bench + "\n")
+        for name in ("fit.csv", "test.csv"):
+            (tmp_path / name).write_text(table + "\n")
+        inputs = [str(tmp_path / name)
+                  for name in ("fit.csv", "test.csv", "bench.csv")]
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"family": {"kind": "ges", "a": a}, "tau": 0.05})
+    assert main([command, *inputs, "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"aqr {command}: DomainError: GES density")
+    assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
 
 
 def write_air_csv(path):

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from aqr.errors import DomainError, ScheduleDomain, SingularDensity
-from aqr.families import (ALPHA_LIMIT, WeightFamily, _j_inner,
+from aqr.families import (ALPHA_LIMIT, WeightFamily, _density,
                           default_s_grid, es, exp_spectral, extremile,
                           g_value, ge, ges, j_value, omega, qr_dirac,
                           resolve_alpha, tabulated, validate_c1)
@@ -95,8 +95,9 @@ def test_density_normalizes():
 
 
 def test_check_free_density_integrates_bit_identically():
-    # validate_c1 integrates _j_inner, skipping j_value's argument checks;
-    # quad must see the same values, so integral and error are unchanged
+    # validate_c1 integrates _density, J with its shape resolved once per
+    # tau and without j_value's argument checks; quad must see the same
+    # values, so integral and error are unchanged
     families = ALL_BUILTINS + [ge("extremile-equivalent")]
     s = np.concatenate([default_s_grid(),
                         np.random.default_rng(3).uniform(0.0, 1.0, 200)])
@@ -107,11 +108,11 @@ def test_check_free_density_integrates_bit_identically():
                         epsabs=1e-12, epsrel=1e-12)
             checked = integrate.quad(lambda x: j_value(fam, t, x),
                                      0.0, 1.0, **quad)
-            free = integrate.quad(
-                lambda x: float(_j_inner(fam, t, np.float64(x))),
-                0.0, 1.0, **quad)
+            density = _density(fam, t)
+            free = integrate.quad(lambda x: float(density(np.float64(x))),
+                                  0.0, 1.0, **quad)
             assert free == checked, (fam.label(), t)
-            assert np.array_equal(_j_inner(fam, t, s), j_value(fam, t, s))
+            assert np.array_equal(density(s), j_value(fam, t, s))
 
 
 def test_reverse_symmetry():
@@ -139,6 +140,19 @@ def test_half_inverse_copies_at_quarter():
     # (1-t)^{1+alpha} = 1/2 at the base level
     r1 = resolve_alpha(extremile(), 0.25) + 1.0
     assert (1 - 0.25) ** r1 == pytest.approx(0.5, abs=1e-14)
+
+
+def test_ges_density_past_the_float_range_is_a_domain_error():
+    # the peak (1+a)/tb^(1+a) at tb = 0.05 is finite up to a = 234
+    s = np.arange(1, 100) / 100.0
+    assert np.all(np.isfinite(j_value(ges(234.0), 0.05, s)))
+    assert np.all(np.isfinite(j_value(ges(234.0), 0.95, s)))
+    for a in (235.0, 300.0):
+        for tau in (0.05, 0.95):
+            with pytest.raises(DomainError, match="overflows"):
+                j_value(ges(a), tau, s)
+        # G takes no power of tb and stays finite
+        assert np.all(np.isfinite(g_value(ges(a), 0.05, s)))
 
 
 def test_schedule_domain_guard():

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from aqr.experiments import builtin_families, study_families
-from aqr.families import g_value, j_value
-from aqr.oracle import _level_maps, normal, population_aqr, student_t
+from aqr.families import g_value, j_value, level_maps
+from aqr.oracle import normal, population_aqr, student_t
 
 TAUS = (0.05, 0.3, 0.5, 0.7, 0.95)
 POINTS = (0.0, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 1.0)
@@ -41,7 +41,7 @@ def pin_table():
             key = f"{label}@{tau}"
             if not fam.singular:
                 table[f"j {key}"] = _hex(j_value(fam, tau, points))
-                maps = _level_maps(fam, tau)
+                maps = level_maps(fam, tau)
                 table[f"maps {key}"] = [_hex([m(v) for v in LEVELS])
                                         for m in maps]
             table[f"g {key}"] = _hex(g_value(fam, tau, points))

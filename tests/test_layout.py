@@ -27,8 +27,13 @@ that never integrate or invert a distribution do not pay its import: no
 module imports it at module level. Each Newton iterate of
 single_index.fit_full takes its gradient and Hessian from one walk over the
 row blocks, _derivatives: fit_full calls neither psis_gradient nor
-psis_hessian, and psis_hessian has no block loop of its own. Last, the
-package's export list must name each public object once and resolve.
+psis_hessian, and psis_hessian has no block loop of its own. Each weight
+family kind and each distribution kind is one record (families.KINDS,
+oracle._DIST_KINDS), so no module compares a value with a kind's name; the
+one exception is the Dirac weight, which has no density, where
+estimator._telescope and sample_risk.order_weights take its own reductions.
+Last, the package's export list must name each public object once and
+resolve.
 """
 
 import ast
@@ -37,6 +42,8 @@ from pathlib import Path
 import pytest
 
 import aqr
+from aqr.families import KINDS
+from aqr.oracle import _DIST_KINDS
 
 FORBIDDEN = {"argsort", "unique", "searchsorted"}
 
@@ -171,6 +178,56 @@ def test_fit_full_walks_the_blocks_once_per_iterate():
              for node in ast.walk(functions["psis_hessian"])
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert loops == []
+
+
+# (module, function) pairs that may compare a kind with "qr-dirac"
+DIRAC_READERS = {("estimator.py", "_telescope"),
+                 ("sample_risk.py", "order_weights")}
+
+
+def _is_kind(node):
+    """`x.kind`, or a name the old branches bound a kind to."""
+    return (isinstance(node, ast.Attribute) and node.attr == "kind"
+            or isinstance(node, ast.Name) and node.id in ("kind", "k"))
+
+
+def _named_kinds(node, names):
+    """Kind names that a comparison of a kind, or a match on one, spells out
+    as literals."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+    elif isinstance(node, ast.Match):
+        operands = [node.subject] + [case.pattern.value for case in node.cases
+                                     if isinstance(case.pattern,
+                                                   ast.MatchValue)]
+    else:
+        return []
+    if not any(_is_kind(op) for op in operands):
+        return []
+    literals = [elt for op in operands
+                for elt in (op.elts if isinstance(op, (ast.Tuple, ast.List,
+                                                        ast.Set)) else [op])]
+    return [lit.value for lit in literals
+            if isinstance(lit, ast.Constant) and lit.value in names]
+
+
+def test_no_module_branches_on_a_kind_outside_the_records():
+    names = set(KINDS) | set(_DIST_KINDS)
+    found = []
+    for path in sorted(Path(aqr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        for node in ast.walk(tree):
+            for name in _named_kinds(node, names):
+                owner = min((f for f in functions
+                             if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.end_lineno - f.lineno,
+                            default=None)
+                where = (path.name, getattr(owner, "name", None))
+                if not (name == "qr-dirac" and where in DIRAC_READERS):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_package_exports_are_unique_and_resolve():

@@ -11,8 +11,8 @@ from scipy import stats
 
 from aqr.errors import DomainError, QuadratureFail
 from aqr.families import (WeightFamily, _tau, es, exp_spectral, extremile, ge,
-                          ges, qr_dirac, tabulated)
-from aqr.oracle import (AnalyticDistribution, _level_maps, _ppf_isf,
+                          ges, level_maps, qr_dirac, tabulated)
+from aqr.oracle import (AnalyticDistribution, _ppf_isf,
                         beta_dist, exponential, frechet, frechet_limit_ratio,
                         normal, point_mass, population_aqr, quantile,
                         student_t, uniform)
@@ -256,7 +256,7 @@ def sample_transformed(dist, family, tau, size, rng):
         return np.full(size, dist.params["c"])
     if family.kind == "qr-dirac":
         return np.full(size, quantile(dist, t))
-    s_from_v, c_from_u, s_comp = _level_maps(family, t)
+    s_from_v, c_from_u, s_comp = level_maps(family, t)
     lower = t <= 0.5
     ppf, isf = _ppf_isf(dist)
     v = rng.uniform(0.0, 1.0, size)
