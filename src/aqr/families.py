@@ -54,11 +54,6 @@ def _tau(tau):
 # c_from_u(u) = 1 - G^{-1}(1-u), accurate for small u;
 # s_comp(v)   = G^{-1}(1-v), accurate for small v (never forms 1-v).
 
-def _reflected(j):
-    """J of a kind written on the base side, extended by the reverse rule."""
-    return lambda shape, t, tb, s: j(shape, tb, s if t <= 0.5 else 1.0 - s)
-
-
 def _ges_a(family):
     a = 1.0 if family.a is None else float(family.a)
     if not (a >= 0.0 and math.isfinite(a)):
@@ -122,6 +117,13 @@ def _ge_g(alpha, t, tb, u):
     return u ** (alpha + 1.0)
 
 
+def _ge_maps(alpha, tb):
+    k = 1.0 / (1.0 + alpha)
+    return (lambda v: 1.0 if v >= 1.0 else -math.expm1(math.log1p(-v) * k),
+            lambda u: u ** k,
+            lambda v: -math.expm1(k * math.log(v)))
+
+
 def _tcrm_maps(alpha, tb):
     at = math.atan(alpha)
 
@@ -177,10 +179,11 @@ class Kind(NamedTuple):
     takes: tuple = ()         # the parameters beside kind
     check: Callable = None    # family -> {parameter: stored value}
     label: Callable = lambda family: family.kind
-    shape: Callable = lambda family, tb: family
+    shape: Callable = None    # (family, tb) -> shape; None: the family
     alpha: bool = False       # the shape is an alpha schedule
     offset: Callable = None   # shape -> its distance from J == 1
-    j: Callable = None        # (shape, t, tb, s) -> J_t(s); None: no density
+    j: Callable = None        # (shape, tb, s) -> J_t(s); None: no density
+    reflect: bool = True      # j is the base side's; reflect s for t > 1/2
     g: Callable = None        # (shape, t, tb, u) -> G_t(u)
     maps: Callable = None     # (shape, tb) -> (s_from_v, c_from_u, s_comp)
     mass: Callable = None     # family -> exact integral of J, if it has one
@@ -190,14 +193,11 @@ class Kind(NamedTuple):
 
 
 UNIFORM = Kind(
-    j=lambda _, t, tb, s: np.ones_like(s),
+    j=lambda _, tb, s: np.ones_like(s), reflect=False,
     g=lambda _, t, tb, u: u.copy() if isinstance(u, np.ndarray) else u,
     maps=lambda _, tb: (lambda v: v, lambda u: u, lambda v: 1.0 - v))
-# GE is GES with its support stretched to [0, 1], so its maps are GES's at 1
-_GE = dict(alpha=True, offset=abs, g=_ge_g,
-           maps=lambda alpha, tb: _ges_maps(alpha, 1.0),
-           j=_reflected(lambda alpha, tb, sb: (1.0 + alpha)
-                        * (1.0 - sb) ** alpha))
+_GE = dict(alpha=True, offset=abs, g=_ge_g, maps=_ge_maps,
+           j=lambda alpha, tb, sb: (1.0 + alpha) * (1.0 - sb) ** alpha)
 _SCHEDULED = dict(
     takes=("schedule",), check=_schedule, shape=_scheduled_alpha,
     label=lambda f: "{}({})".format(
@@ -208,7 +208,7 @@ _SCHEDULED = dict(
 KINDS = {
     "qr-dirac": Kind(g=lambda _, t, tb, u: (u >= t).astype(float)),
     "es": Kind(
-        j=_reflected(lambda _, tb, sb: np.where(sb <= tb, 1.0 / tb, 0.0)),
+        j=lambda _, tb, sb: np.where(sb <= tb, 1.0 / tb, 0.0),
         g=lambda _, t, tb, u: (np.minimum(u / tb, 1.0) if t <= 0.5
                                else np.maximum(0.0, (u - t) / tb)),
         maps=lambda _, tb: (lambda v: tb * v,
@@ -216,7 +216,7 @@ KINDS = {
                             lambda v: tb * (1.0 - v)),
         tail=lambda f: ("ges", {"a": 0.0})),
     "ges": Kind(takes=("a",), check=_ges_a, shape=lambda f, tb: f.a,
-                label=lambda f: f"ges(a={f.a:g})", j=_reflected(_ges_j),
+                label=lambda f: f"ges(a={f.a:g})", j=_ges_j,
                 g=_ges_g, maps=_ges_maps, tail=lambda f: ("ges", {"a": f.a}),
                 limit=lambda sp, gamma, a: (1.0 + a)
                 * sp.beta(1.0 - gamma, 1.0 + a)),
@@ -229,18 +229,19 @@ KINDS = {
         **_SCHEDULED, alpha=True, offset=abs,
         limit=lambda sp, gamma, A: (A ** gamma
                                     / math.cos(gamma * math.pi / 2.0)),
-        j=_reflected(lambda alpha, tb, sb: alpha / (
-            (1.0 + (alpha * sb) ** 2) * math.atan(alpha))),
+        j=lambda alpha, tb, sb: alpha / ((1.0 + (alpha * sb) ** 2)
+                                         * math.atan(alpha)),
         g=lambda alpha, t, tb, u: (
             np.arctan(alpha * u) / math.atan(alpha) if t <= 0.5
             else 1.0 - np.arctan(alpha * (1.0 - u)) / math.atan(alpha)),
         maps=_tcrm_maps),
     "expspectral": Kind(shape=lambda f, tb: 2.0 * tb,
                         offset=lambda b: b - 1.0, g=_exp_g, maps=_exp_maps,
-                        j=_reflected(lambda b, tb, sb: np.exp(sb * math.log(b))
-                                     * math.log(b) / (b - 1.0))),
+                        j=lambda b, tb, sb: np.exp(sb * math.log(b))
+                        * math.log(b) / (b - 1.0)),
     "tabulated": Kind(takes=("grid_s", "grid_j"), check=_grids,
-                      j=lambda f, t, tb, s: np.interp(s, f.grid_s, f.grid_j),
+                      j=lambda f, tb, s: np.interp(s, f.grid_s, f.grid_j),
+                      reflect=False,
                       g=lambda f, t, tb, u: np.interp(
                           u, *_tabulated_cumulative(f)),
                       # J is the piecewise-linear interpolant, whose exact
@@ -255,7 +256,7 @@ def _at(family, t):
     """The family's kind record, its shape at t and the base level."""
     kind = KINDS[family.kind]
     tb = min(t, 1.0 - t)
-    shape = kind.shape(family, tb)
+    shape = family if kind.shape is None else kind.shape(family, tb)
     if kind.offset is not None and abs(kind.offset(shape)) < ALPHA_LIMIT:
         kind = UNIFORM
     return kind, shape, tb
@@ -376,7 +377,9 @@ def _density(family, t):
     kind, shape, tb = _at(family, t)
     if kind.j is None:
         raise SingularDensity("the pure-quantile family has no density")
-    return partial(kind.j, shape, t, tb)
+    if t <= 0.5 or not kind.reflect:
+        return partial(kind.j, shape, tb)
+    return lambda s: kind.j(shape, tb, 1.0 - s)  # the reverse rule
 
 
 def j_value(family, tau, s):

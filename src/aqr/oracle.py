@@ -30,47 +30,48 @@ from .families import KINDS, _tau, level_maps
 
 
 class Law(NamedTuple):
-    """One distribution kind: default parameters, the rule they meet, the
-    quantile function from the level and from its complement, and the value
-    every functional of a point mass takes."""
-    defaults: dict
-    valid: Callable         # params -> bool
+    """One distribution kind: its parameters and their defaults (None for
+    one without), the rule they meet, the quantile function from the level
+    and from its complement, and the value every functional of a point mass
+    takes. valid, quantiles and constant take the parameters by name."""
+    params: dict
+    valid: Callable         # parameters -> bool
     needs: str
-    quantiles: Callable     # (scipy.special, params) -> (ppf, isf)
+    quantiles: Callable     # (scipy.special, parameters) -> (ppf, isf)
     constant: Callable = None
 
 
 _DIST_KINDS = {
     "normal": Law(
-        {"mu": 0.0, "sigma": 1.0}, lambda p: p["sigma"] > 0, "sigma > 0",
-        lambda sp, p: (lambda s: p["mu"] + p["sigma"] * sp.ndtri(s),
-                       lambda c: p["mu"] + p["sigma"] * -sp.ndtri(c))),
+        {"mu": 0.0, "sigma": 1.0}, lambda mu, sigma: sigma > 0, "sigma > 0",
+        lambda sp, mu, sigma: (lambda s: mu + sigma * sp.ndtri(s),
+                               lambda c: mu + sigma * -sp.ndtri(c))),
     "studentT": Law(
-        {}, lambda p: p.get("df", 0.0) > 1.0, "df > 1 (finite mean)",
-        lambda sp, p: (lambda s: sp.stdtrit(p["df"], s),
-                       lambda c: -sp.stdtrit(p["df"], c))),
+        {"df": None}, lambda df=0.0: df > 1.0, "df > 1 (finite mean)",
+        lambda sp, df: (lambda s: sp.stdtrit(df, s),
+                        lambda c: -sp.stdtrit(df, c))),
     "exponential": Law(
-        {}, lambda p: p.get("rate", 0.0) > 0, "rate > 0",
-        lambda sp, p: (lambda s: -np.log1p(-s) / p["rate"],
-                       lambda c: -np.log(c) / p["rate"])),
+        {"rate": None}, lambda rate=0.0: rate > 0, "rate > 0",
+        lambda sp, rate: (lambda s: -np.log1p(-s) / rate,
+                          lambda c: -np.log(c) / rate)),
     "uniform": Law(
-        {"a": 0.0, "b": 1.0}, lambda p: p["b"] > p["a"], "b > a",
-        lambda sp, p: (lambda s: p["a"] + (p["b"] - p["a"]) * s,
-                       lambda c: p["b"] - (p["b"] - p["a"]) * c)),
+        {"a": 0.0, "b": 1.0}, lambda a, b: b > a, "b > a",
+        lambda sp, a, b: (lambda s: a + (b - a) * s,
+                          lambda c: b - (b - a) * c)),
     "beta": Law(
-        {}, lambda p: p.get("p", 0.0) > 0 and p.get("q", 0.0) > 0, "p, q > 0",
-        lambda sp, p: (lambda s: sp.betaincinv(p["p"], p["q"], s),
-                       lambda c: sp.betainccinv(p["p"], p["q"], c))),
+        {"p": None, "q": None}, lambda p=0.0, q=0.0: p > 0 and q > 0,
+        "p, q > 0",
+        lambda sp, p, q: (lambda s: sp.betaincinv(p, q, s),
+                          lambda c: sp.betainccinv(p, q, c))),
     "frechet": Law(
-        {}, lambda p: 0.0 < p.get("gamma", 0.0) < 1.0,
+        {"gamma": None}, lambda gamma=0.0: 0.0 < gamma < 1.0,
         "tail index gamma in (0,1)",
-        lambda sp, p: (lambda s: (-np.log(s)) ** -p["gamma"],
-                       lambda c: (-np.log1p(-c)) ** -p["gamma"])),
+        lambda sp, gamma: (lambda s: (-np.log(s)) ** -gamma,
+                           lambda c: (-np.log1p(-c)) ** -gamma)),
     "pointMass": Law(
-        {}, lambda p: "c" in p and math.isfinite(p["c"]),
-        "a finite location c",
-        lambda sp, p: (lambda s: p["c"], lambda c: p["c"]),
-        constant=lambda p: p["c"]),
+        {"c": None}, lambda c=math.nan: math.isfinite(c),
+        "a finite location c", lambda sp, c: (lambda s: c, lambda _: c),
+        constant=lambda c: c),
 }
 
 
@@ -82,9 +83,11 @@ class AnalyticDistribution:
         if law is None:
             raise DomainError(f"unknown distribution kind {kind!r}")
         self.kind = kind
-        self.params = {**law.defaults, **params}
-        if not law.valid(self.params):
-            raise DomainError(f"{kind} needs {law.needs}")
+        self.params = {**{key: value for key, value in law.params.items()
+                          if value is not None}, **params}
+        if set(params) - set(law.params) or not law.valid(**self.params):
+            raise DomainError(f"{kind} takes {', '.join(law.params)} and "
+                              f"needs {law.needs}")
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -122,7 +125,7 @@ def point_mass(c):
 def _ppf_isf(dist):
     """Quantile function in two forms: from the level and from its complement."""
     from scipy import special
-    return _DIST_KINDS[dist.kind].quantiles(special, dist.params)
+    return _DIST_KINDS[dist.kind].quantiles(special, **dist.params)
 
 
 def quantile(dist, s):
@@ -147,7 +150,7 @@ def population_aqr(dist, family, tau):
     t = _tau(tau)
     constant = _DIST_KINDS[dist.kind].constant
     if constant is not None:
-        return constant(dist.params)
+        return constant(**dist.params)
     if family.singular:
         return quantile(dist, t)
     s_from_v, c_from_u, s_comp = level_maps(family, t)
@@ -187,15 +190,15 @@ def population_aqr(dist, family, tau):
 
 def frechet_limit_ratio(kind, gamma, a=None, A=None):
     """Closed-form limit of xi_tau / Q(tau) as tau -> 1 under a frechet tail:
-    GES in its shape a; GE and TCRM in the limit A of alpha * (1-tau), whose
-    limit is 0 at A = 0."""
+    GES in its shape a >= 0, GE and TCRM in the limit A > 0 of their
+    alpha * (1-tau)."""
     from scipy import special
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0,1)")
     limit = KINDS[kind].limit if kind in KINDS else None
     if limit is None:
         raise DomainError(f"no tail limit for kind {kind!r}")
-    name, shape = ("a", a) if "a" in KINDS[kind].takes else ("A", A)
-    if shape is None or shape < 0:
-        raise DomainError(f"{kind} limit needs {name} >= 0")
+    shape, rule = (a, "a >= 0") if "a" in KINDS[kind].takes else (A, "A > 0")
+    if shape is None or shape < 0 or shape == 0 and rule == "A > 0":
+        raise DomainError(f"{kind} limit needs {rule}")
     return limit(special, gamma, shape)
