@@ -175,7 +175,7 @@ def _tabulated_cumulative(family):
 class Kind(NamedTuple):
     """One kind of weight family. Its shape at a base level tb = min(tau,
     1-tau) is resolved once per (family, tau); a shape whose offset from the
-    uniform weight is below ALPHA_LIMIT answers as UNIFORM."""
+    uniform weight is below ALPHA_LIMIT answers as _UNIFORM."""
     takes: tuple = ()         # the parameters beside kind
     check: Callable = None    # family -> {parameter: stored value}
     label: Callable = lambda family: family.kind
@@ -192,7 +192,7 @@ class Kind(NamedTuple):
     config: bool = True       # a config file can name the kind
 
 
-UNIFORM = Kind(
+_UNIFORM = Kind(
     j=lambda _, tb, s: np.ones_like(s), reflect=False,
     g=lambda _, t, tb, u: u.copy() if isinstance(u, np.ndarray) else u,
     maps=lambda _, tb: (lambda v: v, lambda u: u, lambda v: 1.0 - v))
@@ -258,7 +258,7 @@ def _at(family, t):
     tb = min(t, 1.0 - t)
     shape = family if kind.shape is None else kind.shape(family, tb)
     if kind.offset is not None and abs(kind.offset(shape)) < ALPHA_LIMIT:
-        kind = UNIFORM
+        kind = _UNIFORM
     return kind, shape, tb
 
 
