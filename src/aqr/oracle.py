@@ -199,6 +199,6 @@ def frechet_limit_ratio(kind, gamma, a=None, A=None):
     if limit is None:
         raise DomainError(f"no tail limit for kind {kind!r}")
     shape, rule = (a, "a >= 0") if "a" in KINDS[kind].takes else (A, "A > 0")
-    if shape is None or shape < 0 or shape == 0 and rule == "A > 0":
+    if shape is None or not shape >= 0 or shape == 0 and rule == "A > 0":
         raise DomainError(f"{kind} limit needs {rule}")
     return limit(special, gamma, shape)

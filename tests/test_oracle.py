@@ -201,6 +201,10 @@ def test_frechet_limit_ratio_validation():
         frechet_limit_ratio("ge", 0.5)
     with pytest.raises(DomainError):
         frechet_limit_ratio("es", 0.5)
+    for kind, shape in (("ges", {"a": math.nan}), ("ge", {"A": math.nan}),
+                        ("tcrm", {"A": 0.0})):
+        with pytest.raises(DomainError):
+            frechet_limit_ratio(kind, 0.5, **shape)
 
 
 def test_population_ratio_approaches_limit():
