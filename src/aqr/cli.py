@@ -17,14 +17,12 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import sys
 from typing import Callable, NamedTuple
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import __version__
 from . import experiments as ex
@@ -73,12 +71,93 @@ def config_schema(command):
     return SCHEMAS[command]
 
 
-def _check(schema, config):
-    # jsonschema.validate without its check_schema pass, which re-checks our
-    # constant schemas on every call; the tests check them once.
-    error = best_match(validator_for(schema)(schema).iter_errors(config))
-    if error is not None:
-        raise error
+class _SchemaError(AqrError):
+    """A config value that its command's schema rejects."""
+
+
+_KEYWORDS = {"type", "properties", "additionalProperties", "required", "enum",
+             "minimum", "exclusiveMinimum", "exclusiveMaximum", "minItems",
+             "items", "not", "default"}
+_BOUNDS = (("minimum", operator.lt, "less than the minimum of"),
+           ("exclusiveMinimum", operator.le,
+            "less than or equal to the minimum of"),
+           ("exclusiveMaximum", operator.ge,
+            "greater than or equal to the maximum of"))
+
+
+def _is(kind, value):
+    """JSON Schema's `type`: a bool is no number, 5.0 is an integer."""
+    if isinstance(value, bool):
+        return kind == "boolean"
+    if kind == "integer":
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and value.is_integer())
+    if kind == "number":
+        return isinstance(value, (int, float))
+    return isinstance(value, {"object": dict, "array": list, "string": str,
+                              "boolean": bool}[kind])
+
+
+def _checked(schema, value, path=()):
+    """`value` checked against `schema`, with integer-typed values as ints.
+
+    This implements only the keywords in _KEYWORDS, the ones COMMANDS'
+    schemas use, as JSON Schema means them; an enum compares scalars the
+    JSON way, so true is not 1. Any other keyword raises
+    NotImplementedError, so a schema edit that needs more fails loudly. A
+    rejected value raises _SchemaError, whose message starts with the
+    key path when there is one.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")  # only false is implemented
+    if unknown:
+        raise NotImplementedError(f"config schema keywords {sorted(unknown)}")
+
+    def fail(message):
+        where = "/".join(map(str, path))
+        raise _SchemaError(f"{where}: {message}" if where else message)
+
+    kind = schema.get("type")
+    if kind is not None and not _is(kind, value):
+        fail(f"{value!r} is not of type {kind!r}")
+    if kind == "integer":
+        value = int(value)
+    if "enum" in schema and not any(
+            isinstance(value, bool) == isinstance(member, bool)
+            and value == member for member in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _is("number", value):
+        for key, breaks, text in _BOUNDS:
+            if key in schema and breaks(value, schema[key]):
+                fail(f"{value!r} is {text} {schema[key]!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} is too short")
+        if "items" in schema:
+            value = [_checked(schema["items"], item, path + (i,))
+                     for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", []):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        extra = [key for key in value if key not in properties]
+        if extra and "additionalProperties" in schema:
+            fail(f"Additional properties are not allowed "
+                 f"({', '.join(map(repr, extra))} "
+                 f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        value = {key: _checked(properties[key], item, path + (key,))
+                 if key in properties else item
+                 for key, item in value.items()}
+    if "not" in schema:
+        try:
+            _checked(schema["not"], value, path)
+        except _SchemaError:
+            pass
+        else:
+            fail(f"{value!r} should not be valid under {schema['not']!r}")
+    return value
 
 
 def _resolve_config(args):
@@ -90,8 +169,7 @@ def _resolve_config(args):
     config = dict(DEFAULTS[args.command])
     if args.config:
         with open(args.config) as fh:
-            user = json.load(fh)
-        _check(schema, user)
+            user = _checked(schema, json.load(fh))
         config.update(user)
         # of an exclusive pair (sizes or K, bandwidth or rate_exponent), the
         # key the file sets drops the other's default
@@ -102,8 +180,7 @@ def _resolve_config(args):
     if command.preset_reps and "reps" not in config:
         config["reps"] = command.preset_reps[config["preset"]]
     if args.seed is not None and "seed" in config:
-        _check(schema, {"seed": args.seed})
-        config["seed"] = args.seed
+        config.update(_checked(schema, {"seed": args.seed}))
     if "family" in config:
         args.family = WeightFamily.from_json(config["family"])
     if "n" in config and "K" in config:  # sim2: two or more rows per shard
@@ -497,11 +574,7 @@ def main(argv=None):
     try:
         config = _resolve_config(args)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-            jsonschema.ValidationError, AqrError) as exc:
-        if isinstance(exc, jsonschema.ValidationError):
-            # the message and the failing key; str() adds the schema's text
-            path = "/".join(str(key) for key in exc.absolute_path)
-            exc = f"{path}: {exc.message}" if path else exc.message
+            AqrError) as exc:
         print(f"aqr {args.command}: config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -26,24 +26,37 @@ class AqrEstimate:
     mass_deficit: float
 
 
-def _telescope(knots, levels, family, tau):
+def _check_ends(levels):
+    """A row is non-decreasing by construction (StepCDF checks it, and
+    _YSorted.levels divides a cumulative sum of non-negative weights by its
+    last entry), so only its end levels are checked against [0, 1]."""
+    if np.any(levels[..., 0] < 0.0) or np.any(levels[..., -1] > 1.0):
+        raise DomainError("levels must lie in [0, 1]")
+
+
+def _telescope(knots, levels, family, tau, dg=None):
     """Telescoped values and G masses of the step CDFs in `levels`.
 
     Each row along the last axis of `levels` is one CDF's non-decreasing
     levels at the shared `knots`. The quantile family takes the first knot
     whose level reaches tau, or the top knot with mass 0 when the CDF never
     reaches it; every other family weighs each knot by its G increment.
-    A row is non-decreasing by construction (StepCDF checks it, and
-    _YSorted.levels divides a cumulative sum of non-negative weights by its
-    last entry), so only its end levels are checked against [0, 1].
+    Without `dg`, the end levels are checked here. A caller that reduces
+    one block under many families and levels checks them once with
+    _check_ends and passes `dg`, np.empty_like(levels), which takes each
+    call's G increments in turn. It shares the memory order of `levels`
+    and of G, which decides how the matrix product sums each row.
     """
     if family.kind == "qr-dirac":
         i = (levels < tau).sum(axis=-1)
         return knots[np.minimum(i, knots.size - 1)], (i < knots.size) * 1.0
-    if np.any(levels[..., 0] < 0.0) or np.any(levels[..., -1] > 1.0):
-        raise DomainError("levels must lie in [0, 1]")
+    if dg is None:
+        _check_ends(levels)
+        dg = np.empty_like(levels)
     g = _g_inner(family, tau, levels)
-    return np.diff(g, axis=-1, prepend=0.0) @ knots, g[..., -1]
+    dg[..., 0] = g[..., 0]
+    np.subtract(g[..., 1:], g[..., :-1], out=dg[..., 1:])
+    return dg @ knots, g[..., -1]
 
 
 def aqr_conditional(F, family, tau):

@@ -15,7 +15,7 @@ import numpy as np
 from .distributed import (ShardPlan, _central_shard, aae, local_init,
                           partition, run_distributed)
 from .errors import AqrError, DomainError, ParseError
-from .estimator import _telescope, aqr_conditional, rpad
+from .estimator import _check_ends, _telescope, aqr_conditional, rpad
 from .families import (KINDS, WeightFamily, _tau, es, exp_spectral,
                        extremile, ge, ges, qr_dirac, tabulated, tcrm,
                        validate_c1)
@@ -570,9 +570,12 @@ def average_aqr_values(y, z, h, families, taus):
     size = max(1, min(_BLOCK_CELLS // ys.knots.size, (1 << 17) // y.size))
     for rows in ys.blocks(np.arange(y.size), size):
         levels = ys.levels(ys.kernel(rows, h)[1])[2]
+        _check_ends(levels)
+        dg = np.empty_like(levels)
         for f, family in enumerate(families):
             for k, t in enumerate(ts):
-                values[f, k, rows] = _telescope(ys.knots, levels, family, t)[0]
+                values[f, k, rows] = _telescope(ys.knots, levels, family, t,
+                                                dg)[0]
     return [[float(np.mean(v)) for v in means] for means in values]
 
 

@@ -180,7 +180,6 @@ class Kind(NamedTuple):
     check: Callable = None    # family -> {parameter: stored value}
     label: Callable = lambda family: family.kind
     shape: Callable = None    # (family, tb) -> shape; None: the family
-    alpha: bool = False       # the shape is an alpha schedule
     offset: Callable = None   # shape -> its distance from J == 1
     j: Callable = None        # (shape, tb, s) -> J_t(s); None: no density
     reflect: bool = True      # j is the base side's; reflect s for t > 1/2
@@ -196,7 +195,7 @@ _UNIFORM = Kind(
     j=lambda _, tb, s: np.ones_like(s), reflect=False,
     g=lambda _, t, tb, u: u.copy() if isinstance(u, np.ndarray) else u,
     maps=lambda _, tb: (lambda v: v, lambda u: u, lambda v: 1.0 - v))
-_GE = dict(alpha=True, offset=abs, g=_ge_g, maps=_ge_maps,
+_GE = dict(offset=abs, g=_ge_g, maps=_ge_maps,
            j=lambda alpha, tb, sb: (1.0 + alpha) * (1.0 - sb) ** alpha)
 _SCHEDULED = dict(
     takes=("schedule",), check=_schedule, shape=_scheduled_alpha,
@@ -226,7 +225,7 @@ KINDS = {
     "ge": Kind(**_GE, **_SCHEDULED,
                limit=lambda sp, gamma, A: A ** gamma * sp.gamma(1.0 - gamma)),
     "tcrm": Kind(
-        **_SCHEDULED, alpha=True, offset=abs,
+        **_SCHEDULED, offset=abs,
         limit=lambda sp, gamma, A: (A ** gamma
                                     / math.cos(gamma * math.pi / 2.0)),
         j=lambda alpha, tb, sb: alpha / ((1.0 + (alpha * sb) ** 2)
@@ -343,16 +342,6 @@ def tabulated(grid_s, grid_j):
 def omega(tau):
     """Sign turning the weighted quantile average into a risk measure."""
     return -1 if _tau(tau) <= 0.5 else +1
-
-
-def resolve_alpha(family, tau):
-    """Exact shape exponent alpha at the base level min(tau, 1-tau), before
-    the ALPHA_LIMIT rule, of a kind with an alpha schedule."""
-    t = _tau(tau)
-    kind = KINDS[family.kind]
-    if not kind.alpha:
-        raise DomainError(f"{family.kind} has no alpha schedule")
-    return kind.shape(family, min(t, 1.0 - t))
 
 
 def level_maps(family, t):

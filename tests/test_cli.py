@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from jsonschema.validators import validator_for
 
 import aqr
-from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _read_numeric_csv,
-                     build_parser, config_schema, main)
+from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _checked, _object,
+                     _read_numeric_csv, _SchemaError, build_parser,
+                     config_schema, main)
 from aqr.errors import ParseError
 from aqr.families import KINDS, SCHEDULES
 from aqr.experiments import fit_pooled
@@ -291,6 +295,181 @@ def test_negative_seed_flag_exits_2_before_any_input(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+# JSON values a config key may hold, near the schemas' bounds and names
+_ENUM_NAMES = sorted({name for schema in SCHEMAS.values()
+                      for prop in schema["properties"].values()
+                      for sub in (prop, prop.get("items", {}),
+                                  *prop.get("properties", {}).values())
+                      for name in sub.get("enum", [])})
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 30),
+              st.integers(-3, 30).map(float), st.floats(-2.0, 2.0),
+              st.sampled_from([0.0, 0.5, 1.0, -0.0, math.inf, math.nan]),
+              st.sampled_from(_ENUM_NAMES), st.text(max_size=2)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(["kind", "a", "schedule"]),
+                                  st.text(max_size=2)), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _accepts(schema, value):
+    return validator_for(schema)(schema).is_valid(value)
+
+
+def _checked_as_jsonschema_judges(schema, value):
+    """_checked's result, or None when it rejects `value`; either way its
+    verdict must be jsonschema's."""
+    try:
+        checked = _checked(schema, value)
+    except _SchemaError:
+        assert not _accepts(schema, value)
+        return None
+    assert _accepts(schema, value)
+    return checked
+
+
+def _valid(schema):
+    """Values that `schema` accepts, integer-valued floats included."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "object":
+        properties = schema["properties"]
+        required = schema.get("required", [])
+        pair = schema.get("not", {}).get("required", ())
+
+        def one_of_pair(config):
+            if pair and all(key in config for key in pair):
+                del config[pair[-1]]
+            return config
+        return st.fixed_dictionaries(
+            {key: _valid(properties[key]) for key in required},
+            optional={key: _valid(prop) for key, prop in properties.items()
+                      if key not in required}).map(one_of_pair)
+    if kind == "array":
+        return st.lists(_valid(schema["items"]),
+                        min_size=schema.get("minItems", 0), max_size=3)
+    if kind == "integer":
+        ints = st.integers(schema.get("minimum"), schema.get("minimum", 0)
+                           + 40)
+        return st.one_of(ints, ints.map(float))
+    if kind == "number":
+        low = schema.get("exclusiveMinimum", schema.get("minimum"))
+        high = schema.get("exclusiveMaximum")
+        return st.floats(low, high, allow_nan=False,
+                         exclude_min="exclusiveMinimum" in schema,
+                         exclude_max=high is not None)
+    return st.booleans()
+
+
+def _near_misses(schema):
+    """Values of the wrong type, and values at and around the bounds."""
+    bounds = [schema[key] for key in ("minimum", "exclusiveMinimum",
+                                      "exclusiveMaximum") if key in schema]
+    return st.sampled_from([True, False, None, "1", [], {}, 2.5]
+                           + [b + d for b in bounds
+                              for d in (-1, -0.5, 0, 0.5)])
+
+
+@st.composite
+def _breaks_one_key(draw, schema):
+    """A value that `schema` rejects for one defect: one key (or item) that
+    breaks its own schema, a key the object does not name, both keys of
+    its exclusive pair, a missing required key, or a wrong type."""
+    value = draw(_valid(schema))
+    if schema.get("type") not in ("object", "array") or value == []:
+        return draw(st.one_of(_near_misses(schema), _JSON).filter(
+            lambda value: not _accepts(schema, value)))
+    if schema["type"] == "array":
+        value[draw(st.integers(0, len(value) - 1))] = draw(
+            _breaks_one_key(schema["items"]))
+        return value
+    properties = schema["properties"]
+    pair = schema.get("not", {}).get("required", [])
+    how = draw(st.sampled_from(["value", "unknown"] + ["pair"] * bool(pair)
+                               + ["required"] * bool(schema.get("required"))))
+    if how == "value":
+        key = draw(st.sampled_from(sorted(properties)))
+        value[key] = draw(_breaks_one_key(properties[key]))
+    elif how == "unknown":
+        key = draw(st.text(max_size=3).filter(lambda k: k not in properties))
+        value[key] = draw(_JSON)
+    elif how == "pair":
+        value.update({key: draw(_valid(properties[key])) for key in pair})
+    else:
+        del value[draw(st.sampled_from(schema["required"]))]
+    return value
+
+
+def _ints_where_integer(schema, value):
+    if schema.get("type") == "integer":
+        return type(value) is int
+    if isinstance(value, list):
+        return all(_ints_where_integer(schema.get("items", {}), item)
+                   for item in value)
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return all(_ints_where_integer(properties.get(key, {}), item)
+                   for key, item in value.items())
+    return True
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_check_accepts_what_json_schema_accepts(command, data):
+    schema = SCHEMAS[command]
+    config = data.draw(st.one_of(_valid(schema), _breaks_one_key(schema),
+                                 _JSON))
+    checked = _checked_as_jsonschema_judges(schema, config)
+    if checked is not None:
+        # integer-valued floats come back as ints, all else as it was
+        assert checked == config
+        assert _ints_where_integer(schema, checked)
+
+
+@pytest.mark.parametrize("schema, value", [
+    ({"enum": [1, "a"]}, True), ({"enum": [1]}, 1.0), ({"enum": [0]}, False),
+    ({"type": "number"}, True), ({"type": "integer"}, 5.0),
+    ({"type": "integer"}, 5.5), ({"type": "integer"}, math.inf),
+    ({"type": "number", "minimum": 0}, math.nan),
+    ({"type": "array", "minItems": 2}, [1]), ({"minimum": 0}, "x"),
+    (_object(("a", "b"), a={}, b={}), {"a": 1}),
+    (_object(("a", "b"), a={}, b={}), {"a": 1, "b": 2}),
+])
+def test_config_check_follows_json_schema_on_edge_cases(schema, value):
+    _checked_as_jsonschema_judges(schema, value)
+
+
+def test_config_check_raises_on_a_keyword_it_does_not_implement():
+    for schema in ({"type": "integer", "maximum": 3},
+                   _object(n={"type": "integer", "multipleOf": 2}),
+                   {**_object(), "additionalProperties": True}):
+        with pytest.raises(NotImplementedError):
+            _checked(schema, {"n": 4})
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_config_breaking_one_key_exits_2_before_any_input(
+        tmp_path_factory, command, data):
+    config = data.draw(_breaks_one_key(SCHEMAS[command]))
+    tmp = tmp_path_factory.mktemp("cfg")
+    cfg = write_json(tmp / "cfg.json", config)
+    # the input files do not exist: the config is rejected before they
+    # are opened
+    inputs = [str(tmp / f"{dest}.csv") for dest, _ in COMMANDS[command].inputs]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, *inputs, "--config", cfg, "--out", str(tmp)])
+    assert code == 2
+    assert err.getvalue().startswith(f"aqr {command}: config error: ")
+    assert err.getvalue().count("\n") == 1
+    assert [p.name for p in tmp.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_thread_count_below_one_exits_2(tmp_path, capsys, count):
     with pytest.raises(SystemExit) as stop:
@@ -486,7 +665,9 @@ def test_risk_roundtrip(tmp_path):
     assert out["risk"] > 0
 
 
-def test_portfolio_cli(tmp_path):
+def write_portfolio_csvs(tmp_path):
+    """Fit, test and benchmark return files; the strong asset beats the
+    weak one by 0.002 a day in the fit window."""
     rng = np.random.default_rng(12)
     base = rng.normal(0.001, 0.01, 60)
     fit = np.column_stack([base + 0.002, base])
@@ -502,8 +683,12 @@ def test_portfolio_cli(tmp_path):
         paths[name] = str(p)
     bpath = tmp_path / "bench.csv"
     bpath.write_text("bench\n" + "\n".join(str(float(v)) for v in bench) + "\n")
+    return [paths["fit"], paths["test"], str(bpath)]
+
+
+def test_portfolio_cli(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"starts": 3, "iterations": 200})
-    argv = ["portfolio", paths["fit"], paths["test"], str(bpath),
+    argv = ["portfolio", *write_portfolio_csvs(tmp_path),
             "--config", cfg, "--out", str(tmp_path)]
     names = ("portfolio.json", "portfolio_run.json")
     assert main(argv) == 0
@@ -520,6 +705,26 @@ def test_portfolio_cli(tmp_path):
     assert 0 <= diag["best_start"] < 3
     assert main(argv) == 0
     assert [(tmp_path / name).read_bytes() for name in names] == first
+
+
+@pytest.mark.parametrize("command, config, key, value", [
+    ("portfolio", {"iterations": 5.0}, "iterations", 5),
+    ("portfolio", {"seed": 1.0}, "seed", 1),
+    ("dist-fit", {"seed": 2.0}, "seed", 2),
+    ("dist-fit", {"sizes": [50.0, 50]}, "sizes", [50, 50]),
+])
+def test_integer_valued_floats_run_as_ints(tmp_path, command, config, key,
+                                           value):
+    # JSON Schema counts 5.0 as an integer; the engines take it as 5
+    inputs = (write_portfolio_csvs(tmp_path) if command == "portfolio"
+              else [write_xy_csv(tmp_path / "xy.csv")])
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert main([command, *inputs, "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    name = f"{command.replace('-', '_')}_run.json"
+    record = json.loads((tmp_path / name).read_text())
+    # "5", not "5.0"
+    assert json.dumps(record["config"][key]) == json.dumps(value)
 
 
 @pytest.mark.parametrize("command", ["risk", "portfolio"])

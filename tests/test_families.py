@@ -5,10 +5,10 @@ import pytest
 from scipy import integrate
 
 from aqr.errors import DomainError, ScheduleDomain, SingularDensity
-from aqr.families import (ALPHA_LIMIT, WeightFamily, _density,
+from aqr.families import (ALPHA_LIMIT, WeightFamily, _at, _density,
                           default_s_grid, es, exp_spectral, extremile,
                           g_value, ge, ges, j_value, omega, qr_dirac,
-                          resolve_alpha, tabulated, validate_c1)
+                          tabulated, validate_c1)
 
 ALL_BUILTINS = [es(), ges(0.0), ges(1.0), ges(2.0), extremile(),
                 ge("half-inverse"), ge("cotangent"),
@@ -135,10 +135,10 @@ def test_ges_saturates_above_tau():
 
 def test_half_inverse_copies_at_quarter():
     # 1 + alpha doubles the effective sample weight at tau = 1/4
-    assert resolve_alpha(ge("half-inverse"), 0.25) == pytest.approx(1.0)
+    assert _at(ge("half-inverse"), 0.25)[1] == pytest.approx(1.0)
     # extremile exponent reproduces its defining 1/2-quantile identity:
     # (1-t)^{1+alpha} = 1/2 at the base level
-    r1 = resolve_alpha(extremile(), 0.25) + 1.0
+    r1 = _at(extremile(), 0.25)[1] + 1.0
     assert (1 - 0.25) ** r1 == pytest.approx(0.5, abs=1e-14)
 
 

@@ -24,7 +24,9 @@ input is read: the parser makes every subparser in one loop over the
 table, and no handler calls WeightFamily.from_json. scipy is imported only
 inside the functions that call it, so that `import aqr` and the commands
 that never integrate or invert a distribution do not pay its import: no
-module imports it at module level. Each Newton iterate of
+module imports it at module level. cli.py checks configs against its
+schemas itself, so no module imports jsonschema, and `import aqr, aqr.cli`
+loads neither package. Each Newton iterate of
 single_index.fit_full takes its gradient and Hessian from one walk over the
 row blocks, _derivatives: fit_full calls neither psis_gradient nor
 psis_hessian, and psis_hessian has no block loop of its own. Each weight
@@ -37,6 +39,9 @@ resolve.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +168,34 @@ def test_no_module_imports_scipy_at_module_level():
                   for node, names in _import_time_imports(tree)
                   if any(name.split(".")[0] == "scipy" for name in names)]
     assert found == []
+
+
+def test_no_module_imports_jsonschema():
+    found = []
+    for path in sorted(Path(aqr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "jsonschema"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_scipy_or_jsonschema():
+    probe = ("import sys, aqr, aqr.cli\n"
+             "print(sorted(name for name in sys.modules if name.split('.')[0]"
+             " in ('jsonschema', 'referencing', 'scipy')))")
+    src = Path(aqr.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_fit_full_walks_the_blocks_once_per_iterate():
