@@ -160,6 +160,11 @@ def _checked(schema, value, path=()):
     return value
 
 
+def _refuse_constant(token):
+    """json.load's hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise _SchemaError(f"{token} is not a JSON number")
+
+
 def _resolve_config(args):
     """Defaults, then the --config file, then the --seed flag, checked by
     the code that owns each rule, so a bad config fails before any input is
@@ -169,7 +174,8 @@ def _resolve_config(args):
     config = dict(DEFAULTS[args.command])
     if args.config:
         with open(args.config) as fh:
-            user = _checked(schema, json.load(fh))
+            user = _checked(schema, json.load(
+                fh, parse_constant=_refuse_constant))
         config.update(user)
         # of an exclusive pair (sizes or K, bandwidth or rate_exponent), the
         # key the file sets drops the other's default

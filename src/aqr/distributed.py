@@ -27,8 +27,9 @@ message layer what the sufficient-statistic protocol would send:
   per receiver row, the partial denominator (1), its derivative pieces
   (1 + p), the numerator row (n), its derivative kernel sums (n and n*p),
   plus the sender's index values once per round.
-* one-time setup (also unserialized): every worker ships its responses to
-  every other worker so indicator columns can be formed.
+* one-time setup (serialized as `setup_scalars`): every worker ships its
+  responses to every other worker so indicator columns can be formed,
+  (K-1)*n scalars.
 """
 
 import math
@@ -77,7 +78,8 @@ class RoundComm:
 
 @dataclass
 class CommReport:
-    """Per-round message accounting; only the protocol payload serializes."""
+    """Per-round message accounting; the protocol payload and the setup
+    count serialize."""
     rounds: list = field(default_factory=list)
     setup_scalars: int = 0
 
@@ -90,6 +92,7 @@ class CommReport:
             "rounds": [{"scalars_sent": r.scalars_sent, "messages": r.messages}
                        for r in self.rounds],
             "total": self.total,
+            "setup_scalars": self.setup_scalars,
         }
 
 

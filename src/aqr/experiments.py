@@ -21,8 +21,9 @@ from .families import (KINDS, WeightFamily, _tau, es, exp_spectral,
                        validate_c1)
 from .kernel_cde import (_BLOCK_CELLS, Dataset, _YSorted, _as_bandwidth,
                          cde_curve, cv_bandwidth, rule_bandwidth)
-from .oracle import (beta_dist, exponential, frechet_limit_ratio, normal,
-                     population_aqr, quantile, student_t, uniform)
+from .oracle import (beta_dist, draw, exponential, frechet_limit_ratio,
+                     normal, population_aqr, quantile, student_t, tail_index,
+                     uniform)
 from .portfolio import evaluate, optimize_weights
 from .single_index import (_newton_step, fit_full, normalize_beta,
                            psis_gradient, psis_hessian)
@@ -39,6 +40,12 @@ def _pmap(fn, tasks, threads):
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (4 * workers))
         return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def _summary(vals, suffix=""):
+    """Mean and sample sd (0 for one replication) of per-rep values."""
+    sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+    return {"mean" + suffix: float(np.mean(vals)), "sd" + suffix: sd}
 
 
 def _rep_seed(master, stream, rep):
@@ -131,7 +138,6 @@ SIX_DISTRIBUTIONS = [
 ]
 
 COMPARE_TAUS = tuple(round(0.90 + 0.01 * i, 2) for i in range(9))
-_TAIL_GAMMA = {"t3": 1.0 / 3.0, "t1.2": 1.0 / 1.2}
 
 
 def compare_rows(taus=COMPARE_TAUS):
@@ -142,11 +148,11 @@ def compare_rows(taus=COMPARE_TAUS):
     """
     rows = []
     for dist_label, domain, dist in SIX_DISTRIBUTIONS:
-        gamma = _TAIL_GAMMA.get(dist_label)
+        gamma = tail_index(dist)
         for fam_label, fam in study_families():
             kind, args = KINDS[fam.kind].tail(fam)
-            ratio = (frechet_limit_ratio(kind, gamma, **args) if gamma
-                     else None)
+            ratio = (None if gamma is None
+                     else frechet_limit_ratio(kind, gamma, **args))
             for tau in taus:
                 rows.append({
                     "distribution": dist_label,
@@ -172,6 +178,8 @@ def check_compare_ordering(rows):
         cells.setdefault((row["distribution"], row["tau"]), {})[
             row["family"]] = row
     chain = ["ges", "es", "extremile", "ge", "tcrm"]
+    by_domain = {"gumbel": ("extremile", "quantile", "ge"),
+                 "weibull": ("quantile", "extremile")}
     violations = []
     for (dist, tau), cell in sorted(cells.items()):
         missing = [f for f in chain if f not in cell]
@@ -183,19 +191,12 @@ def check_compare_ordering(rows):
                 violations.append(
                     f"{dist} tau={tau}: {hi} value {cell[hi]['value']!r} "
                     f"not above {lo} value {cell[lo]['value']!r}")
-        q = cell["extremile"]["quantile"]
-        domain = cell["extremile"]["domain"]
-        if domain == "gumbel":
-            if not cell["extremile"]["value"] > q:
-                violations.append(
-                    f"{dist} tau={tau}: extremile not above quantile")
-            if not q > cell["ge"]["value"]:
-                violations.append(
-                    f"{dist} tau={tau}: quantile not above ge")
-        elif domain == "weibull":
-            if not q > cell["extremile"]["value"]:
-                violations.append(
-                    f"{dist} tau={tau}: quantile not above extremile")
+        values = {f: cell[f]["value"] for f in chain}
+        values["quantile"] = cell["extremile"]["quantile"]
+        order = by_domain.get(cell["extremile"]["domain"], ())
+        for hi, lo in zip(order, order[1:]):
+            if not values[hi] > values[lo]:
+                violations.append(f"{dist} tau={tau}: {hi} not above {lo}")
     return violations
 
 
@@ -216,17 +217,9 @@ SIM1_ERRORS = [
 ]
 
 
-def _sim1_draw(rng, label, n):
+def _sim1_draw(rng, dist, n):
     x = rng.standard_normal(n)
-    if label == "normal":
-        eps = rng.standard_normal(n)
-    elif label == "t3":
-        eps = rng.standard_t(3.0, n)
-    elif label == "exp":
-        eps = rng.exponential(1.0, n)
-    else:
-        raise DomainError(f"unknown error label {label!r}")
-    return x, 20.0 * np.sin(np.pi * x) + eps
+    return x, 20.0 * np.sin(np.pi * x) + draw(dist, rng, n)
 
 
 def _sim1_probe(tau):
@@ -235,9 +228,8 @@ def _sim1_probe(tau):
 
 def _sim1_rep(args):
     master, error_index, rep, n, taus = args
-    label = SIM1_ERRORS[error_index][0]
     rng = np.random.default_rng(_rep_seed(master, error_index, rep))
-    x, y = _sim1_draw(rng, label, n)
+    x, y = _sim1_draw(rng, SIM1_ERRORS[error_index][1], n)
     data = Dataset(y, x[:, None])
     h = cv_bandwidth(data)
     curves = {}
@@ -274,13 +266,9 @@ def run_sim1(master_seed=1, reps=100, n=SIM1_N, taus=SIM1_TAUS, threads=1):
                 truth = 20.0 * math.sin(math.pi * x0) + population_aqr(
                     err_dist, fam, tau)
                 vals = [rpad(r[(fam_label, tau)], truth) for r in per_rep]
-                cells.append({
-                    "error": err_label, "family": fam_label, "tau": tau,
-                    "x0": x0, "truth": truth,
-                    "mean_rpad": float(np.mean(vals)),
-                    "sd_rpad": (float(np.std(vals, ddof=1))
-                                if len(vals) > 1 else 0.0),
-                })
+                cells.append({"error": err_label, "family": fam_label,
+                              "tau": tau, "x0": x0, "truth": truth,
+                              **_summary(vals, "_rpad")})
     return {"n": int(n), "reps": int(reps), "seed": int(master_seed),
             "cells": cells}
 
@@ -395,11 +383,6 @@ def run_sim2(master_seed=1, reps=30, n=SIM2_N, K=SIM2_K, taus=SIM2_TAUS,
              for rep in range(int(reps))]
     results = _pmap(_sim2_rep, tasks, threads)
 
-    def _stats(key):
-        vals = [r[key] for r in results]
-        sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        return {"mean": float(np.mean(vals)), "sd": sd}
-
     rpad_rows = []
     for fam_label, fam in study_families():
         for tau in taus:
@@ -408,18 +391,14 @@ def run_sim2(master_seed=1, reps=30, n=SIM2_N, K=SIM2_K, taus=SIM2_TAUS,
             for method in ("all", "de"):
                 vals = [rpad(r[f"est_{method}"][(fam_label, tau)], truth)
                         for r in results]
-                rpad_rows.append({
-                    "family": fam_label, "tau": tau, "method": method,
-                    "truth": truth,
-                    "mean_rpad": float(np.mean(vals)),
-                    "sd_rpad": (float(np.std(vals, ddof=1))
-                                if len(vals) > 1 else 0.0),
-                })
+                rpad_rows.append({"family": fam_label, "tau": tau,
+                                  "method": method, "truth": truth,
+                                  **_summary(vals, "_rpad")})
     report = {
         "n": int(n), "K": int(K), "reps": int(reps),
         "seed": int(master_seed),
-        "aae": {"all": _stats("aae_all"), "de": _stats("aae_de"),
-                "pilot": _stats("aae_pilot")},
+        "aae": {method: _summary([r[f"aae_{method}"] for r in results])
+                for method in ("all", "de", "pilot")},
         "rounds": [r["rounds"] for r in results],
         "rpad": rpad_rows,
     }

@@ -32,28 +32,34 @@ from .families import KINDS, _tau, level_maps
 class Law(NamedTuple):
     """One distribution kind: its parameters and their defaults (None for
     one without), the rule they meet, the quantile function from the level
-    and from its complement, and the value every functional of a point mass
-    takes. valid, quantiles and constant take the parameters by name."""
+    and its complement, a point mass's value, the sampler and the Frechet
+    tail index. The callables take the parameters by name."""
     params: dict
     valid: Callable         # parameters -> bool
     needs: str
     quantiles: Callable     # (scipy.special, parameters) -> (ppf, isf)
     constant: Callable = None
+    sample: Callable = None  # (rng, n, parameters) -> n draws
+    gamma: Callable = None   # parameters -> Frechet tail index
 
 
 _DIST_KINDS = {
     "normal": Law(
         {"mu": 0.0, "sigma": 1.0}, lambda mu, sigma: sigma > 0, "sigma > 0",
         lambda sp, mu, sigma: (lambda s: mu + sigma * sp.ndtri(s),
-                               lambda c: mu + sigma * -sp.ndtri(c))),
+                               lambda c: mu + sigma * -sp.ndtri(c)),
+        sample=lambda rng, n, mu, sigma: rng.normal(mu, sigma, n)),
     "studentT": Law(
         {"df": None}, lambda df=0.0: df > 1.0, "df > 1 (finite mean)",
         lambda sp, df: (lambda s: sp.stdtrit(df, s),
-                        lambda c: -sp.stdtrit(df, c))),
+                        lambda c: -sp.stdtrit(df, c)),
+        sample=lambda rng, n, df: rng.standard_t(df, n),
+        gamma=lambda df: 1 / df),
     "exponential": Law(
         {"rate": None}, lambda rate=0.0: rate > 0, "rate > 0",
         lambda sp, rate: (lambda s: -np.log1p(-s) / rate,
-                          lambda c: -np.log(c) / rate)),
+                          lambda c: -np.log(c) / rate),
+        sample=lambda rng, n, rate: rng.exponential(1 / rate, n)),
     "uniform": Law(
         {"a": 0.0, "b": 1.0}, lambda a, b: b > a, "b > a",
         lambda sp, a, b: (lambda s: a + (b - a) * s,
@@ -67,7 +73,8 @@ _DIST_KINDS = {
         {"gamma": None}, lambda gamma=0.0: 0.0 < gamma < 1.0,
         "tail index gamma in (0,1)",
         lambda sp, gamma: (lambda s: (-np.log(s)) ** -gamma,
-                           lambda c: (-np.log1p(-c)) ** -gamma)),
+                           lambda c: (-np.log1p(-c)) ** -gamma),
+        gamma=lambda gamma: gamma),
     "pointMass": Law(
         {"c": None}, lambda c=math.nan: math.isfinite(c),
         "a finite location c", lambda sp, c: (lambda s: c, lambda _: c),
@@ -120,6 +127,20 @@ def frechet(gamma):
 
 def point_mass(c):
     return AnalyticDistribution("pointMass", c=c)
+
+
+def draw(dist, rng, n):
+    """n draws of dist from the numpy Generator rng."""
+    sample = _DIST_KINDS[dist.kind].sample
+    if sample is None:
+        raise DomainError(f"no sampler for {dist.kind}")
+    return sample(rng, n, **dist.params)
+
+
+def tail_index(dist):
+    """The Frechet tail index gamma of dist; None outside that domain."""
+    gamma = _DIST_KINDS[dist.kind].gamma
+    return None if gamma is None else gamma(**dist.params)
 
 
 def _ppf_isf(dist):

@@ -175,8 +175,9 @@ def test_fit_and_dist_fit(tmp_path):
     dist = json.loads((tmp_path / "dist_fit.json").read_text())
     assert dist["K"] == 2 and dist["sizes"] == [50, 50]
     assert dist["rounds"] >= 1
-    assert sorted(dist["comm"]) == ["rounds", "total"]
+    assert sorted(dist["comm"]) == ["rounds", "setup_scalars", "total"]
     assert dist["comm"]["total"] > 0
+    assert dist["comm"]["setup_scalars"] == 100
     assert np.linalg.norm(dist["beta"]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -270,6 +271,29 @@ def test_config_the_engines_reject_exits_2_before_any_input(
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "config error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, template", [
+    ("fit", '{"bandwidth": %s}'),
+    ("dist-fit", '{"rate_exponent": %s}'),
+    ("risk", '{"tau": %s}'),
+    ("portfolio", '{"family": {"kind": "ges", "a": %s}}'),
+    ("compare", '{"taus": [0.9, %s]}'),
+    ("validate", '{"violators": %s}'),
+])
+def test_non_json_number_exits_2_before_any_input(tmp_path, capsys, command,
+                                                  template, token):
+    # Python's json reads these tokens as floats; a config may not hold them
+    inputs = [str(tmp_path / f"{dest}.csv")
+              for dest, _ in COMMANDS[command].inputs]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(template % token)
+    assert main([command, *inputs, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"aqr {command}: config error: {token} is not a JSON number\n")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -863,7 +887,9 @@ def test_commands_load_scipy_only_on_first_use(tmp_path):
 
 
 def test_module_entry_point_reports_version():
+    src = pathlib.Path(aqr.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-m", "aqr.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0
     assert aqr.__version__ in out.stdout

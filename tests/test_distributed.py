@@ -304,10 +304,11 @@ def test_comm_accounting_is_gradient_sized():
         assert entry.sstat_scalars > 0
     assert comm.total == 2 * per_round
     payload = comm.to_json()
-    assert sorted(payload) == ["rounds", "total"]
+    assert sorted(payload) == ["rounds", "setup_scalars", "total"]
     assert all(sorted(r) == ["messages", "scalars_sent"]
                for r in payload["rounds"])
     assert payload["total"] == comm.total
+    assert payload["setup_scalars"] == (k - 1) * n
 
 
 def test_comm_tally_on_sim2_design():

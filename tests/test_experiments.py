@@ -10,15 +10,16 @@ import pytest
 
 from aqr.errors import DomainError, ParseError
 from aqr.estimator import aqr_conditional
-from aqr.experiments import (AIRQ_TAUS, SIX_DISTRIBUTIONS, average_aqr_values,
-                             builtin_families, check_compare_ordering,
-                             compare_rows, k1_newton_gap, load_airquality,
-                             run_airquality, run_compare, run_portfolio,
-                             run_sim1, run_sim2, run_validate, study_families,
-                             violator_families, _rep_seed)
-from aqr.families import es, g_value, qr_dirac, tcrm
+from aqr.experiments import (AIRQ_TAUS, SIM1_ERRORS, SIX_DISTRIBUTIONS,
+                             average_aqr_values, builtin_families,
+                             check_compare_ordering, compare_rows,
+                             k1_newton_gap, load_airquality, run_airquality,
+                             run_portfolio, run_sim1, run_sim2, run_validate,
+                             study_families, violator_families, _rep_seed,
+                             _sim1_draw)
+from aqr.families import KINDS, es, g_value, qr_dirac, tcrm
 from aqr.kernel_cde import _BLOCK_CELLS, Dataset, _YSorted, cde_curve
-from aqr.oracle import normal, population_aqr, quantile
+from aqr.oracle import frechet_limit_ratio, normal, population_aqr, quantile
 from aqr.portfolio import ReturnsMatrix
 
 
@@ -87,6 +88,48 @@ def test_compare_rows_fields_match_oracles():
             assert row["limit_ratio"] is None
 
 
+# reference forms of sim1's error draw and of the compare table's tail
+# indices, stated by row label: what the distributions' records give must
+# equal them to the bit
+_TAIL_GAMMA = {"t3": 1.0 / 3.0, "t1.2": 1.0 / 1.2}
+
+
+def _labelled_sim1_draw(rng, label, n):
+    x = rng.standard_normal(n)
+    if label == "normal":
+        eps = rng.standard_normal(n)
+    elif label == "t3":
+        eps = rng.standard_t(3.0, n)
+    elif label == "exp":
+        eps = rng.exponential(1.0, n)
+    else:
+        raise DomainError(f"unknown error label {label!r}")
+    return x, 20.0 * np.sin(np.pi * x) + eps
+
+
+@pytest.mark.parametrize("label, dist", SIM1_ERRORS,
+                         ids=[label for label, _ in SIM1_ERRORS])
+def test_sim1_draw_through_the_record_matches_the_labelled_draw(label, dist):
+    for seed in range(8):
+        x, y = _sim1_draw(np.random.default_rng(seed), dist, 300)
+        x0, y0 = _labelled_sim1_draw(np.random.default_rng(seed), label, 300)
+        assert x.tobytes() == x0.tobytes()
+        assert y.tobytes() == y0.tobytes()
+
+
+def test_compare_limit_ratio_matches_the_labelled_tail_indices():
+    rows = compare_rows(taus=[0.9])
+    assert {row["distribution"] for row in rows} == {
+        label for label, _, _ in SIX_DISTRIBUTIONS}
+    fams = dict(study_families())
+    for row in rows:
+        gamma = _TAIL_GAMMA.get(row["distribution"])
+        fam = fams[row["family"]]
+        kind, args = KINDS[fam.kind].tail(fam)
+        want = frechet_limit_ratio(kind, gamma, **args) if gamma else None
+        assert row["limit_ratio"] == want
+
+
 def test_ordering_checker_flags_planted_violations():
     rows = compare_rows(taus=[0.94])
     assert check_compare_ordering(rows) == []
@@ -101,6 +144,21 @@ def test_ordering_checker_flags_planted_violations():
     partial = [r for r in rows if r["family"] != "tcrm"]
     msgs = check_compare_ordering(partial)
     assert any("missing" in m for m in msgs)
+
+
+@pytest.mark.parametrize("dist, quantile_at, want", [
+    ("exp", 1e9, ["exp tau=0.94: extremile not above quantile"]),
+    ("exp", -1e9, ["exp tau=0.94: quantile not above ge"]),
+    ("beta23", -1e9, ["beta23 tau=0.94: quantile not above extremile"]),
+    ("t3", 1e9, []),
+])
+def test_ordering_checker_places_the_quantile_by_domain(dist, quantile_at,
+                                                        want):
+    rows = [dict(r) for r in compare_rows(taus=[0.94])]
+    for row in rows:
+        if row["distribution"] == dist:
+            row["quantile"] = quantile_at
+    assert check_compare_ordering(rows) == want
 
 
 def test_sim1_small_run_deterministic():

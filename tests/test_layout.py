@@ -34,6 +34,11 @@ family kind and each distribution kind is one record (families.KINDS,
 oracle._DIST_KINDS), so no module compares a value with a kind's name; the
 one exception is the Dirac weight, which has no density, where
 estimator._telescope and sample_risk.order_weights take its own reductions.
+The studies' distribution rosters (experiments.SIM1_ERRORS and
+SIX_DISTRIBUTIONS) pair a row label with a distribution, whose record gives
+its sampler and tail index, so no module compares a value with a roster
+label or keys a dict by one; only the kind record itself, oracle._DIST_KINDS,
+has keys that are also labels.
 Last, the package's export list must name each public object once and
 resolve.
 """
@@ -47,6 +52,7 @@ from pathlib import Path
 import pytest
 
 import aqr
+from aqr.experiments import SIM1_ERRORS, SIX_DISTRIBUTIONS
 from aqr.families import KINDS
 from aqr.oracle import _DIST_KINDS
 
@@ -224,24 +230,35 @@ def _is_kind(node):
             or isinstance(node, ast.Name) and node.id in ("kind", "k"))
 
 
-def _named_kinds(node, names):
-    """Kind names that a comparison of a kind, or a match on one, spells out
-    as literals."""
+def _operands(node):
+    """The operands of a comparison, the subject and case values of a match,
+    or the keys of a dict; [] for any other node."""
     if isinstance(node, ast.Compare):
-        operands = [node.left, *node.comparators]
-    elif isinstance(node, ast.Match):
-        operands = [node.subject] + [case.pattern.value for case in node.cases
-                                     if isinstance(case.pattern,
-                                                   ast.MatchValue)]
-    else:
-        return []
-    if not any(_is_kind(op) for op in operands):
-        return []
+        return [node.left, *node.comparators]
+    if isinstance(node, ast.Match):
+        return [node.subject] + [case.pattern.value for case in node.cases
+                                 if isinstance(case.pattern, ast.MatchValue)]
+    if isinstance(node, ast.Dict):
+        return [key for key in node.keys if key is not None]
+    return []
+
+
+def _spelled(operands, names):
+    """The names that `operands`, or the tuples, lists and sets among them,
+    spell out as literals."""
     literals = [elt for op in operands
                 for elt in (op.elts if isinstance(op, (ast.Tuple, ast.List,
                                                         ast.Set)) else [op])]
     return [lit.value for lit in literals
             if isinstance(lit, ast.Constant) and lit.value in names]
+
+
+def _named_kinds(node, names):
+    """Kind names that a comparison of a kind, or a match on one, spells out
+    as literals."""
+    operands = _operands(node)
+    return (_spelled(operands, names) if any(_is_kind(op) for op in operands)
+            else [])
 
 
 def test_no_module_branches_on_a_kind_outside_the_records():
@@ -260,6 +277,20 @@ def test_no_module_branches_on_a_kind_outside_the_records():
                 where = (path.name, getattr(owner, "name", None))
                 if not (name == "qr-dirac" and where in DIRAC_READERS):
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_module_branches_on_a_roster_label():
+    labels = {row[0] for row in SIM1_ERRORS + SIX_DISTRIBUTIONS}
+    found = []
+    for path in sorted(Path(aqr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        record = [node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "_DIST_KINDS"]
+        found += [f"{path.name}:{node.lineno} {name}"
+                  for node in ast.walk(tree) if node not in record
+                  for name in _spelled(_operands(node), labels)]
     assert found == []
 
 

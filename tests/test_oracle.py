@@ -13,9 +13,10 @@ from aqr.errors import DomainError, QuadratureFail
 from aqr.families import (WeightFamily, _tau, es, exp_spectral, extremile, ge,
                           ges, level_maps, qr_dirac, tabulated)
 from aqr.oracle import (AnalyticDistribution, _ppf_isf,
-                        beta_dist, exponential, frechet, frechet_limit_ratio,
-                        normal, point_mass, population_aqr, quantile,
-                        student_t, uniform)
+                        beta_dist, draw, exponential, frechet,
+                        frechet_limit_ratio, normal, point_mass,
+                        population_aqr, quantile, student_t, tail_index,
+                        uniform)
 
 tcrm_hi = WeightFamily("tcrm", schedule="half-inverse")
 FAMILIES = [es(), ges(1.0), extremile(), ge("half-inverse"), tcrm_hi,
@@ -33,6 +34,33 @@ def test_distribution_validation():
                 lambda: AnalyticDistribution("gamma", k=2.0)):
         with pytest.raises(DomainError):
             bad()
+
+
+@pytest.mark.parametrize("dist, call", [
+    (normal(1.5, 2.0), lambda rng: rng.normal(1.5, 2.0, 50)),
+    (student_t(4.5), lambda rng: rng.standard_t(4.5, 50)),
+    (exponential(2.0), lambda rng: rng.exponential(0.5, 50)),
+])
+def test_draw_makes_the_kinds_own_generator_call(dist, call):
+    for seed in range(3):
+        got = draw(dist, np.random.default_rng(seed), 50)
+        assert got.tobytes() == call(np.random.default_rng(seed)).tobytes()
+
+
+@pytest.mark.parametrize("dist", [uniform(), beta_dist(2.0, 3.0),
+                                  frechet(0.5), point_mass(1.0)])
+def test_draw_from_a_kind_without_a_sampler_raises(dist):
+    with pytest.raises(DomainError, match="no sampler"):
+        draw(dist, np.random.default_rng(0), 5)
+
+
+def test_tail_index_is_the_frechet_gamma_or_none():
+    assert tail_index(student_t(3.0)) == 1.0 / 3.0
+    assert tail_index(student_t(1.2)) == 1.0 / 1.2
+    assert tail_index(frechet(0.25)) == 0.25
+    for dist in (normal(), exponential(), uniform(), beta_dist(2.0, 3.0),
+                 point_mass(0.0)):
+        assert tail_index(dist) is None
 
 
 def test_quantile_values():
