@@ -23,7 +23,7 @@ def main():
     data = Dataset(y, x[:, None])
 
     h = cv_bandwidth(data)
-    print(f"n = {n}, cross-validated bandwidth h = {h.h:.3f}")
+    print(f"n = {n}, cross-validated bandwidth h = {h:.3f}")
 
     for tau, x0 in [(0.05, -0.5), (0.95, 0.5)]:
         F = cde_curve(data, h, x0)

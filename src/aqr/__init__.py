@@ -11,7 +11,7 @@ from .oracle import (AnalyticDistribution, normal, student_t, exponential,
                      population_aqr, frechet_limit_ratio)
 from .sample_risk import (CoherenceReport, aqr_sample, coherence_check,
                           risk_sample)
-from .kernel_cde import (Dataset, Bandwidth, StepCDF, cde_eval, cde_curve,
+from .kernel_cde import (Dataset, StepCDF, cde_eval, cde_curve,
                          index_cde_eval, index_cde_grad, cv_bandwidth,
                          rule_bandwidth, default_bandwidth_grid)
 from .estimator import AqrEstimate, aqr_conditional, aqr_profile, rpad
@@ -31,7 +31,7 @@ __all__ = [
     "beta_dist", "frechet", "point_mass", "quantile", "population_aqr",
     "frechet_limit_ratio",
     "CoherenceReport", "aqr_sample", "coherence_check", "risk_sample",
-    "Dataset", "Bandwidth", "StepCDF", "cde_eval", "cde_curve",
+    "Dataset", "StepCDF", "cde_eval", "cde_curve",
     "index_cde_eval", "index_cde_grad", "cv_bandwidth", "rule_bandwidth",
     "default_bandwidth_grid",
     "AqrEstimate", "aqr_conditional", "aqr_profile", "rpad",

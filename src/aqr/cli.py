@@ -9,7 +9,8 @@ any input is read, runs one of the engines in experiments.py, and writes
 its tables as CSV plus a JSON run record carrying the command name, seed,
 config hash and package version. Outputs contain no timestamps, so a rerun
 with the same config and seed is byte-identical. Exit codes: 0 success,
-1 a validation or analysis failure, 2 a usage, config or I/O error.
+1 a validation or analysis failure, 2 a usage, config or I/O error. A
+failure prints one line to stderr.
 """
 
 import argparse
@@ -230,6 +231,7 @@ def _write_records(path, columns, records):
 
 
 def _write_run(args, config, report, outputs):
+    """Write <command>_run.json and return its name."""
     blob = json.dumps(config, sort_keys=True, default=_json_default)
     record = {
         "command": args.command,
@@ -240,8 +242,9 @@ def _write_run(args, config, report, outputs):
         "outputs": sorted(outputs),
         "report": report,
     }
-    path = os.path.join(args.out, f"{args.command.replace('-', '_')}_run.json")
-    _write_json(path, record)
+    name = f"{args.command.replace('-', '_')}_run.json"
+    _write_json(os.path.join(args.out, name), record)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +437,7 @@ def _cmd_dist_fit(args, config):
     model, comm, _, h1 = ex.fit_sharded(pdata, config["rate_exponent"],
                                         config["rounds"])
     report = dict(model.to_json())
-    report.update({"h1": h1.h, "K": plan.K, "sizes": list(plan.sizes),
+    report.update({"h1": h1, "K": plan.K, "sizes": list(plan.sizes),
                    "rounds": len(comm.rounds), "comm": comm.to_json(),
                    "covariates": header[1:], "response": header[0]})
     name = "dist_fit.json"
@@ -585,7 +588,7 @@ def main(argv=None):
         return 2
     try:
         code, report, outputs = COMMANDS[args.command].run(args, config)
-        _write_run(args, config, report, outputs)
+        record = _write_run(args, config, report, outputs)
     except ParseError as exc:
         where = f" (row {exc.row}" + (f", col {exc.col})" if exc.col
                                       else ")")
@@ -599,6 +602,9 @@ def main(argv=None):
         print(f"aqr {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
+    if code:
+        print(f"aqr {args.command}: checks failed; see {record}",
+              file=sys.stderr)
     return code
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PlanMismatch, ShapeMismatch
-from .kernel_cde import Dataset, _as_bandwidth
+from .kernel_cde import Dataset, _bandwidth
 from .single_index import (IndexModel, _gradient_parts, _newton_step,
                            _reduce_gradient, fit_full, normalize_beta,
                            psis_hessian)
@@ -155,7 +155,7 @@ def newton_round(data, model, h1, comm):
 
 def default_rounds(n, n1, h1):
     """Round count from the convergence condition, rounded up, floored at 1."""
-    inner = n1 * float(h1) ** 5 / math.log(n1)
+    inner = n1 * _bandwidth(h1) ** 5 / math.log(n1)
     if inner <= 0.0:
         return 1
     denom = math.log(inner)
@@ -172,9 +172,9 @@ def run_distributed(data, rounds, h, h1, beta0):
     pilot off the unit sphere or with first entry <= 0 raises DomainError.
     """
     sizes = _shard_sizes(data)
-    h1 = _as_bandwidth(h1)
+    h1 = _bandwidth(h1)
     if rounds is None:
-        rounds = default_rounds(data.n, sizes[0], h1.h)
+        rounds = default_rounds(data.n, sizes[0], h1)
     rounds = int(rounds)
     if rounds < 1:
         raise DomainError("need at least one round")

@@ -19,7 +19,7 @@ from .estimator import _check_ends, _telescope, aqr_conditional, rpad
 from .families import (KINDS, WeightFamily, _tau, es, exp_spectral,
                        extremile, ge, ges, qr_dirac, tabulated, tcrm,
                        validate_c1)
-from .kernel_cde import (_BLOCK_CELLS, Dataset, _YSorted, _as_bandwidth,
+from .kernel_cde import (_BLOCK_CELLS, Dataset, _YSorted, _bandwidth,
                          cde_curve, cv_bandwidth, rule_bandwidth)
 from .oracle import (beta_dist, draw, exponential, frechet_limit_ratio,
                      normal, population_aqr, quantile, student_t, tail_index,
@@ -541,7 +541,7 @@ def average_aqr_values(y, z, h, families, taus):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     ts = [_tau(t) for t in taus]
-    h = _as_bandwidth(h).h
+    h = _bandwidth(h)
     ys = _YSorted(y, z)
     values = np.empty((len(families), len(ts), y.size))
     # _BLOCK_CELLS level cells (rows x knots) per block; on tied y, at most
@@ -599,9 +599,9 @@ def run_airquality(y, X, shard_of, site_names, taus=AIRQ_TAUS):
         "assumption": AIRQ_ASSUMPTION,
         "beta_full": np.asarray(model_full.beta, dtype=float).tolist(),
         "beta_distributed": np.asarray(model_de.beta, dtype=float).tolist(),
-        "h_full": model_full.h.h,
-        "h_distributed": model_de.h.h,
-        "h_central": h1.h,
+        "h_full": model_full.h,
+        "h_distributed": model_de.h,
+        "h_central": h1,
         "rounds": len(comm.rounds),
         "full": tables["full"],
         "distributed": tables["distributed"],

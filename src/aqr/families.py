@@ -109,9 +109,24 @@ def _scheduled_alpha(family, tb):
     return alpha
 
 
+def _extremile_alpha(family, tb):
+    alpha = math.log(0.5) / math.log1p(-tb) - 1.0
+    if math.isinf(alpha):
+        raise DomainError(f"extremile shape overflows at base level {tb:g}; "
+                          "move tau inward")
+    return alpha
+
+
+def _tcrm_j(alpha, tb, sb):
+    # (alpha sb)^2 passes the float range only where alpha sb > 1.3e154;
+    # J there is below 1/(alpha sb^2), and is taken as 0
+    with np.errstate(over="ignore"):
+        return alpha / ((1.0 + (alpha * sb) ** 2) * math.atan(alpha))
+
+
 def _ge_g(alpha, t, tb, u):
     if t <= 0.5:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             raw = -np.expm1((alpha + 1.0) * np.log1p(-np.minimum(u, 1.0)))
         return np.where(u >= 1.0, 1.0, raw)
     return u ** (alpha + 1.0)
@@ -208,7 +223,7 @@ KINDS = {
     "qr-dirac": Kind(g=lambda _, t, tb, u: (u >= t).astype(float)),
     "es": Kind(
         j=lambda _, tb, sb: np.where(sb <= tb, 1.0 / tb, 0.0),
-        g=lambda _, t, tb, u: (np.minimum(u / tb, 1.0) if t <= 0.5
+        g=lambda _, t, tb, u: (np.minimum(u, tb) / tb if t <= 0.5
                                else np.maximum(0.0, (u - t) / tb)),
         maps=lambda _, tb: (lambda v: tb * v,
                             lambda u: 1.0 - tb * (1.0 - u),
@@ -220,7 +235,7 @@ KINDS = {
                 limit=lambda sp, gamma, a: (1.0 + a)
                 * sp.beta(1.0 - gamma, 1.0 + a)),
     "extremile": Kind(
-        **_GE, shape=lambda f, tb: math.log(0.5) / math.log1p(-tb) - 1.0,
+        **_GE, shape=_extremile_alpha,
         tail=lambda f: ("ge", {"A": math.log(2.0)})),
     "ge": Kind(**_GE, **_SCHEDULED,
                limit=lambda sp, gamma, A: A ** gamma * sp.gamma(1.0 - gamma)),
@@ -228,8 +243,7 @@ KINDS = {
         **_SCHEDULED, offset=abs,
         limit=lambda sp, gamma, A: (A ** gamma
                                     / math.cos(gamma * math.pi / 2.0)),
-        j=lambda alpha, tb, sb: alpha / ((1.0 + (alpha * sb) ** 2)
-                                         * math.atan(alpha)),
+        j=_tcrm_j,
         g=lambda alpha, t, tb, u: (
             np.arctan(alpha * u) / math.atan(alpha) if t <= 0.5
             else 1.0 - np.arctan(alpha * (1.0 - u)) / math.atan(alpha)),

@@ -97,19 +97,12 @@ class Dataset:
         return [np.flatnonzero(self.shard_of == k) for k in self.shard_labels()]
 
 
-@dataclass
-class Bandwidth:
-    """Kernel bandwidth."""
-    h: float
-
-    def __post_init__(self):
-        self.h = float(self.h)
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise DomainError(f"bandwidth must be positive, got {self.h!r}")
-
-
-def _as_bandwidth(h):
-    return h if isinstance(h, Bandwidth) else Bandwidth(h)
+def _bandwidth(h):
+    """Return h as a positive finite float, or raise DomainError."""
+    v = float(h)
+    if not (math.isfinite(v) and v > 0.0):
+        raise DomainError(f"bandwidth must be positive, got {v!r}")
+    return v
 
 
 @dataclass
@@ -125,6 +118,9 @@ class StepCDF:
             raise ShapeMismatch("knots and levels must be equal-length vectors")
         if self.knots.size == 0:
             raise DomainError("a step CDF needs at least one knot")
+        if not (np.all(np.isfinite(self.knots))
+                and np.all(np.isfinite(self.levels))):
+            raise DomainError("knots and levels must be finite")
         if np.any(np.diff(self.knots) <= 0.0):
             raise DomainError("knots must be strictly increasing")
         if np.any(np.diff(self.levels) < 0.0):
@@ -247,9 +243,9 @@ def _conditioner(data, beta=None):
 
 def cde_eval(data, h, x0, y0):
     """F-hat(y0 | x0): indicator-weighted kernel ratio, in [0, 1]."""
-    h = _as_bandwidth(h)
+    h = _bandwidth(h)
     z, _ = _conditioner(data)
-    w = _kernel_weights(z, float(x0), h.h)[1]
+    w = _kernel_weights(z, float(x0), h)[1]
     return math.fsum(w[data.y <= y0]) / math.fsum(w)
 
 
@@ -264,9 +260,9 @@ def cde_curve(data, h, x0):
     masked sums produce, so the two agree exactly at the knots, and the top
     level is exactly 1.
     """
-    h = _as_bandwidth(h)
+    h = _bandwidth(h)
     z, _ = _conditioner(data)
-    w = _kernel_weights(z, float(x0), h.h)[1]
+    w = _kernel_weights(z, float(x0), h)[1]
     ys = _YSorted(data.y, z)
     # w = mantissa * 2^(exponent - 1075) for a normal double, and
     # fraction * 2^-1074 for a subnormal one (biased exponent 0)
@@ -282,7 +278,7 @@ def cde_curve(data, h, x0):
 
 def index_cde_eval(data, beta, h, x0, y0):
     """F-hat(y0 | x0.beta) on the projected data."""
-    h = _as_bandwidth(h)
+    h = _bandwidth(h)
     z, beta = _conditioner(data, beta)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (data.p,):
@@ -293,13 +289,13 @@ def index_cde_eval(data, beta, h, x0, y0):
 
 def index_cde_grad(data, beta, h, x0, y0):
     """Gradient in beta of index_cde_eval: S3/S2 - S1*S4/S2^2."""
-    h = _as_bandwidth(h)
+    h = _bandwidth(h)
     z, beta = _conditioner(data, beta)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (data.p,):
         raise ShapeMismatch(f"x0 must have length {data.p}, got {x0.shape}")
-    t, w = _kernel_weights(z, float(x0 @ beta), h.h)
-    dw = _dphi(t) / (h.h * h.h)
+    t, w = _kernel_weights(z, float(x0 @ beta), h)
+    dw = _dphi(t) / (h * h)
     Xc = data.X - x0
     mask = data.y <= y0
     s1 = math.fsum(w[mask])
@@ -319,13 +315,13 @@ def rule_bandwidth(values, rate_exponent=0.2):
     scale = float(np.std(values))
     if scale <= 0.0:
         raise DomainError("conditioning values are constant; no scale")
-    return Bandwidth(scale * values.size ** (-rate_exponent))
+    return _bandwidth(scale * values.size ** (-rate_exponent))
 
 
 def default_bandwidth_grid(values, size=12):
     """Log-spaced grid spanning [c/2, 2c] around the rule-of-thumb c."""
-    c = rule_bandwidth(values).h
-    return [Bandwidth(h) for h in np.geomspace(0.5 * c, 2.0 * c, size)]
+    c = rule_bandwidth(values)
+    return [_bandwidth(h) for h in np.geomspace(0.5 * c, 2.0 * c, size)]
 
 
 def _cv_scores(data, grid):
@@ -349,12 +345,12 @@ def _cv_scores(data, grid):
         first, last = ys.run[pos[0]], ys.run[pos[-1]]
         band = (pos[:, None] <= ys.ends[None, first:last]) * count[first:last]
         tail = count[last:]
-        for g, bw in enumerate(grid):
+        for g, h in enumerate(grid):
             if math.isnan(totals[g]):
                 continue
-            scale = -0.5 / (bw.h * bw.h)
+            scale = -0.5 / (h * h)
             # each row's largest weight, _phi(d_i / h) / h
-            if not np.all(np.exp(nearest * scale) / (SQRT_2PI * bw.h) > 0.0):
+            if not np.all(np.exp(nearest * scale) / (SQRT_2PI * h) > 0.0):
                 totals[g] = math.nan
                 continue
             np.multiply(sq, scale, out=w)
@@ -402,15 +398,14 @@ def cv_bandwidth(data, *, grid=None):
     z, _ = _conditioner(data)
     if grid is None:
         grid = default_bandwidth_grid(z)
-    grid = [_as_bandwidth(h) for h in grid]
+    grid = sorted(_bandwidth(h) for h in grid)
     if len(grid) == 0:
         raise EmptyGrid("bandwidth grid is empty")
-    grid = sorted(grid, key=lambda b: b.h)
     best = None
     best_score = math.inf
-    for bw, score in zip(grid, _cv_scores(data, grid).tolist()):
+    for h, score in zip(grid, _cv_scores(data, grid).tolist()):
         if math.isfinite(score) and score < best_score:
-            best = bw
+            best = h
             best_score = score
     if best is None:
         raise KernelUnderflow(

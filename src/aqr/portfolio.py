@@ -215,6 +215,8 @@ def evaluate(returns_test, weights, bench):
     bench = np.asarray(bench, dtype=float)
     if bench.shape != (returns_test.days,):
         raise ShapeMismatch("benchmark must have one return per test day")
+    if not np.all(np.isfinite(bench)):
+        raise DomainError("benchmark returns must be finite")
     series = returns_test.R @ weights.alpha
     spread = float(np.std(series, ddof=1))
     if spread == 0.0:

@@ -39,6 +39,8 @@ def order_weights(family, tau, n, mode):
     puts the Weibull interpolation of the quantile at tau(n+1) on the two
     neighbouring order statistics, with divisor 1.
     """
+    if mode not in ("raw", "normalized"):
+        raise DomainError(f"mode must be 'raw' or 'normalized', got {mode!r}")
     t = _tau(tau)
     if family.kind == "qr-dirac":
         w = np.zeros(n)
@@ -63,8 +65,6 @@ def order_weights(family, tau, n, mode):
 
 def aqr_sample(values, family, tau, mode="normalized"):
     """Weighted average of order statistics at plotting positions i/(n+1)."""
-    if mode not in ("raw", "normalized"):
-        raise DomainError(f"mode must be 'raw' or 'normalized', got {mode!r}")
     arr = _as_sample(values)
     w, divisor = order_weights(family, tau, arr.size, mode)
     return float(np.sort(arr) @ w) / divisor

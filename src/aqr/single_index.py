@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (DomainError, IdentificationFail, IllConditioned,
                      KernelUnderflow, LineSearchFail, ShapeMismatch,
                      ZeroVector)
-from .kernel_cde import Bandwidth, _YSorted, _as_bandwidth
+from .kernel_cde import _YSorted, _bandwidth
 
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
@@ -54,25 +54,27 @@ MAX_STEP = 1.0
 class IndexModel:
     """Fitted index direction (unit norm, positive first entry) and bandwidth."""
     beta: np.ndarray
-    h: Bandwidth
+    h: float
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
-        self.h = _as_bandwidth(self.h)
+        self.h = _bandwidth(self.h)
         if self.beta.ndim != 1 or self.beta.size < 1:
             raise ShapeMismatch("beta must be a non-empty vector")
-        if abs(float(np.linalg.norm(self.beta)) - 1.0) > 1e-12:
+        if not abs(float(np.linalg.norm(self.beta)) - 1.0) <= 1e-12:
             raise DomainError("beta must have unit Euclidean norm")
         if not self.beta[0] > 0.0:
             raise DomainError("first component of beta must be positive")
 
     def to_json(self):
-        return {"beta": [float(b) for b in self.beta], "h": self.h.h}
+        return {"beta": [float(b) for b in self.beta], "h": self.h}
 
 
 def normalize_beta(beta):
     """Project onto the identification set: unit norm, positive first entry."""
     beta = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(beta)):
+        raise DomainError("beta must be finite")
     norm = float(np.linalg.norm(beta))
     if norm == 0.0:
         raise ZeroVector("cannot normalize a zero direction")
@@ -98,7 +100,7 @@ class _IndexSorted(_YSorted):
             raise ShapeMismatch(
                 f"beta must have length {data.p}, got {beta.shape}")
         super().__init__(data.y, data.X @ beta)
-        self.h = _as_bandwidth(h).h
+        self.h = _bandwidth(h)
         self.X = data.X
         self.xs = np.ascontiguousarray(data.X[self.order].T)
 
@@ -318,7 +320,7 @@ def fit_full(data, h, init):
     Newton decrement is within a few ulps of the objective, or after
     MAX_NEWTON_ITER iterations.
     """
-    h = _as_bandwidth(h)
+    h = _bandwidth(h)
     if data.p == 1:
         return IndexModel(np.array([1.0]), h)
     beta = normalize_beta(init)

@@ -18,8 +18,7 @@ from aqr.experiments import (AIRQ_TAUS, check_compare_ordering, compare_rows,
                              run_sim1, run_sim2, run_validate, study_families,
                              violator_families, builtin_families)
 from aqr.families import es, exp_spectral, extremile, ge, ges, j_value, tcrm
-from aqr.kernel_cde import (Bandwidth, Dataset, StepCDF, index_cde_eval,
-                            index_cde_grad)
+from aqr.kernel_cde import Dataset, StepCDF, index_cde_eval, index_cde_grad
 from aqr.oracle import frechet, frechet_limit_ratio, population_aqr, quantile
 from aqr.estimator import aqr_conditional, aqr_profile
 from aqr.sample_risk import coherence_check

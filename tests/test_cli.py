@@ -87,10 +87,12 @@ def test_validate_run_record(tmp_path):
     assert record["report"]["all_passed"] is True
 
 
-def test_validate_violator_exits_1(tmp_path):
+def test_validate_violator_exits_1(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json",
                      {"violators": ["negative_density"]})
     assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "aqr validate: checks failed; see validate_run.json\n")
     record = json.loads((tmp_path / "validate_run.json").read_text())
     assert record["report"]["all_passed"] is False
 
@@ -494,6 +496,59 @@ def test_config_breaking_one_key_exits_2_before_any_input(
     assert [p.name for p in tmp.iterdir()] == ["cfg.json"]
 
 
+def _tiny_inputs(tmp):
+    """Small fixed input files for every command, by input name."""
+    risk = tmp / "column.csv"
+    risk.write_text("r\n" + "\n".join(str(float(v)) for v in
+                                       np.random.default_rng(6).normal(
+                                           0.0, 0.02, 60)) + "\n")
+    fit, test, bench = write_portfolio_csvs(tmp)
+    xy = write_xy_csv(tmp / "xy.csv", n=60)
+    return {"risk": [str(risk)], "portfolio": [fit, test, bench],
+            "airquality": [write_air_csv(tmp / "air.csv")],
+            "fit": [xy], "dist-fit": [xy]}
+
+
+def _small(command, config):
+    """Cap a replicated study at 2 reps of at most 60 rows, the preset's
+    rep count included."""
+    properties = SCHEMAS[command]["properties"]
+    for key, cap in (("reps", 2), ("n", 60)):
+        if key in properties:
+            config[key] = min(config.get(key, cap), cap)
+    return config
+
+
+# examples per command: validate takes about a second a run
+_VALID_EXAMPLES = {"validate": 3, "compare": 6}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_valid_config_exits_0_1_or_2_with_one_line(tmp_path_factory,
+                                                   command):
+    inputs = _tiny_inputs(tmp_path_factory.mktemp("inputs")).get(command,
+                                                                 [])
+
+    @settings(max_examples=_VALID_EXAMPLES.get(command, 12), deadline=None)
+    @given(config=_valid(SCHEMAS[command]).map(
+        lambda config: _small(command, config)))
+    def run(config):
+        cfg = write_json(tmp_path_factory.mktemp("cfg") / "cfg.json", config)
+        out = tmp_path_factory.mktemp("out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, *inputs, "--config", cfg,
+                         "--out", str(out), "--threads", "1"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") == (code != 0)
+        if code != 0:
+            assert err.getvalue().startswith(f"aqr {command}: ")
+        if code == 2:
+            assert list(out.iterdir()) == []
+    run()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_thread_count_below_one_exits_2(tmp_path, capsys, count):
     with pytest.raises(SystemExit) as stop:
@@ -516,7 +571,7 @@ def test_fit_bandwidth_that_isolates_every_row_exits_1(tmp_path, capsys):
     table = _read_numeric_csv(data)[1]
     want = fit_pooled(Dataset(table[:, 0], table[:, 1:]))
     fit = json.loads((tmp_path / "fit.json").read_text())
-    assert fit["beta"] == want.beta.tolist() and fit["h"] == want.h.h
+    assert fit["beta"] == want.beta.tolist() and fit["h"] == want.h
 
 
 def test_fit_parse_error_reports_location(tmp_path, capsys):
@@ -729,6 +784,22 @@ def test_portfolio_cli(tmp_path):
     assert 0 <= diag["best_start"] < 3
     assert main(argv) == 0
     assert [(tmp_path / name).read_bytes() for name in names] == first
+
+
+def test_portfolio_non_finite_benchmark_exits_1_with_one_line(tmp_path,
+                                                             capsys):
+    # a day against a nan benchmark would count as not beaten
+    fit, test, bench = write_portfolio_csvs(tmp_path)
+    lines = pathlib.Path(bench).read_text().splitlines()
+    lines[3], lines[9] = "nan", "inf"
+    pathlib.Path(bench).write_text("\n".join(lines) + "\n")
+    cfg = write_json(tmp_path / "cfg.json", {"starts": 2, "iterations": 20})
+    assert main(["portfolio", fit, test, bench, "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("aqr portfolio: DomainError: benchmark returns must be "
+                   "finite\n")
+    assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, config, key, value", [

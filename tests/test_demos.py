@@ -14,6 +14,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=600)
+    # the suite's warning policy: any warning is an error
+    done = subprocess.run([sys.executable, "-W", "error", str(script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=600)
     assert done.returncode == 0, done.stderr

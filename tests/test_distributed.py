@@ -262,7 +262,7 @@ def test_run_distributed_tracks_full_fit():
     model, comm = run_distributed(data, None, h, h1, beta0_hat)
     full = fit_full(Dataset(data.y, data.X), h, normalize_beta(np.ones(2)))
     assert np.linalg.norm(model.beta - full.beta) < 0.05
-    assert len(comm.rounds) == default_rounds(500, 50, h1.h)
+    assert len(comm.rounds) == default_rounds(500, 50, h1)
 
 
 def test_fit_sharded_is_the_pilot_setup_recipe():
@@ -271,7 +271,7 @@ def test_fit_sharded_is_the_pilot_setup_recipe():
     model, comm, pilot, got_h1 = fit_sharded(data)
     assert np.array_equal(model.beta, want.beta)
     assert np.array_equal(pilot, beta0_hat)
-    assert np.array_equal(got_h1.h, h1.h)
+    assert got_h1 == h1
     assert model.h == h
     assert comm.to_json() == want_comm.to_json()
 

@@ -8,7 +8,7 @@ from aqr.errors import DomainError, ScheduleDomain, SingularDensity
 from aqr.families import (ALPHA_LIMIT, WeightFamily, _at, _density,
                           default_s_grid, es, exp_spectral, extremile,
                           g_value, ge, ges, j_value, omega, qr_dirac,
-                          tabulated, validate_c1)
+                          tabulated, tcrm, validate_c1)
 
 ALL_BUILTINS = [es(), ges(0.0), ges(1.0), ges(2.0), extremile(),
                 ge("half-inverse"), ge("cotangent"),
@@ -255,3 +255,17 @@ def test_alpha_limit_uniformizes():
     u = np.linspace(0, 1, 9)
     assert np.array_equal(g_value(fam, 0.3, u), u)
     assert np.all(j_value(fam, 0.3, u) == 1.0)
+
+
+def test_levels_next_to_zero_evaluate_without_overflow_warnings():
+    # the suite turns warnings into errors, so each call below must neither
+    # overflow unchecked nor return a nan
+    u = np.linspace(0.0, 1.0, 11)
+    assert g_value(es(), 5e-324, u).tolist() == [0.0] + [1.0] * 10
+    assert g_value(es(), 1.0 - 2.0**-53, u).tolist() == [0.0] * 10 + [1.0]
+    tiny = 2.2250738585072014e-308  # extremile's alpha is finite, near 3e307
+    assert g_value(extremile(), tiny, u).tolist() == [0.0] + [1.0] * 10
+    assert np.all(np.isfinite(j_value(tcrm(), 1e-300, u)))
+    for tau in (5e-324, 1e-310):
+        with pytest.raises(DomainError, match="extremile shape overflows"):
+            j_value(extremile(), tau, u)

@@ -8,10 +8,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from aqr.errors import (DomainError, EmptyGrid, KernelUnderflow,
                         ShapeMismatch)
-from aqr.kernel_cde import (_CV_BLOCK_CELLS, Bandwidth, Dataset, StepCDF,
+from aqr.kernel_cde import (_CV_BLOCK_CELLS, Dataset, StepCDF,
                             _YSorted, _cv_scores, cde_curve, cde_eval,
                             cv_bandwidth, default_bandwidth_grid,
                             index_cde_eval, index_cde_grad, rule_bandwidth)
+from aqr.distributed import (CommReport, default_rounds, local_init,
+                             newton_round, run_distributed)
+from aqr.experiments import average_aqr_values, fit_pooled, fit_sharded
+from aqr.families import es
+from aqr.single_index import (IndexModel, fit_full, normalize_beta,
+                              psis_gradient, psis_hessian, psis_objective)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -49,11 +55,61 @@ def test_dataset_validation():
     assert [list(s) for s in d.shard_slices()] == [[1], [0, 2]]
 
 
+# every public call that takes a bandwidth, called with the bandwidth h on
+# small valid data
+_X2 = np.random.default_rng(3).normal(size=(40, 2))
+_Y2 = _X2.sum(axis=1) + np.random.default_rng(4).normal(size=40)
+_DATA1 = Dataset(_Y2, _X2[:, :1])
+_DATA2 = Dataset(_Y2, _X2)
+_SHARDED = Dataset(_Y2, _X2, shard_of=np.repeat([0, 1], 20))
+_BETA = normalize_beta(np.ones(2))
+_TAKES_A_BANDWIDTH = {
+    "cde_eval": lambda h: cde_eval(_DATA1, h, 0.0, 0.0),
+    "cde_curve": lambda h: cde_curve(_DATA1, h, 0.0),
+    "index_cde_eval": lambda h: index_cde_eval(_DATA2, _BETA, h, _BETA, 0.0),
+    "index_cde_grad": lambda h: index_cde_grad(_DATA2, _BETA, h, _BETA, 0.0),
+    "cv_bandwidth": lambda h: cv_bandwidth(_DATA1, grid=[0.5, h]),
+    "IndexModel": lambda h: IndexModel(_BETA, h),
+    "psis_objective": lambda h: psis_objective(_DATA2, _BETA, h),
+    "psis_gradient": lambda h: psis_gradient(_DATA2, _BETA, h),
+    "psis_hessian": lambda h: psis_hessian(_DATA2, _BETA, h),
+    "fit_full": lambda h: fit_full(_DATA2, h, _BETA),
+    "fit_full p=1": lambda h: fit_full(_DATA1, h, np.ones(1)),
+    "fit_pooled": lambda h: fit_pooled(_DATA2, bandwidth=h),
+    "local_init": lambda h: local_init(_SHARDED, h),
+    "newton_round": lambda h: newton_round(
+        _SHARDED, IndexModel(_BETA, 0.5), h, CommReport()),
+    "run_distributed h": lambda h: run_distributed(
+        _SHARDED, 1, h, 0.5, _BETA),
+    "run_distributed h1": lambda h: run_distributed(
+        _SHARDED, None, 0.5, h, _BETA),
+    "default_rounds": lambda h: default_rounds(40, 20, h),
+    "average_aqr_values": lambda h: average_aqr_values(
+        _Y2, _X2[:, 0], h, [es()], [0.5]),
+}
+
+
 def test_bandwidth_validation():
-    with pytest.raises(DomainError):
-        Bandwidth(0.0)
-    with pytest.raises(DomainError):
-        Bandwidth(-1.0)
+    # a bandwidth is a float, checked where it enters like tau; one that is
+    # not positive and finite is a DomainError at every entry point
+    for name, call in _TAKES_A_BANDWIDTH.items():
+        call(0.5)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="bandwidth must be "
+                               "positive"):
+                call(bad)
+                pytest.fail(f"{name} accepted the bandwidth {bad!r}")
+
+
+def test_bandwidths_come_back_as_floats():
+    x = _X2[:, 0]
+    assert type(rule_bandwidth(x)) is float
+    assert {type(h) for h in default_bandwidth_grid(x)} == {float}
+    assert type(cv_bandwidth(_DATA1)) is float
+    assert type(cv_bandwidth(_DATA1, grid=[np.float64(0.5)])) is float
+    assert type(fit_pooled(_DATA2).h) is float
+    assert type(IndexModel(_BETA, np.float64(0.5)).h) is float
+    assert type(fit_sharded(_SHARDED)[3]) is float
 
 
 def test_step_cdf_validation_and_evaluate():
@@ -63,6 +119,12 @@ def test_step_cdf_validation_and_evaluate():
         StepCDF(np.array([1.0, 2.0]), np.array([0.8, 0.5]))
     with pytest.raises(DomainError):
         StepCDF(np.array([1.0, 2.0]), np.array([0.5, 1.2]))
+    for knots, levels in (([0.0, 1.0], [np.nan, 1.0]),
+                          ([0.0, np.nan], [0.5, 1.0]),
+                          ([0.0, np.inf], [0.5, 1.0]),
+                          ([np.nan], [0.5])):
+        with pytest.raises(DomainError):
+            StepCDF(np.array(knots), np.array(levels))
     f = StepCDF(np.array([0.0, 1.0, 2.0]), np.array([0.2, 0.7, 1.0]))
     assert f.mass_deficit == 0.0
     assert f.evaluate(-0.5) == 0.0
@@ -78,7 +140,7 @@ def test_constant_x_gives_empirical_cdf():
     y = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
     data = Dataset(y, np.full((5, 1), 0.7))
     for y0, want in ((0.0, 0.0), (1.0, 0.2), (2.5, 0.4), (5.0, 1.0), (9.0, 1.0)):
-        assert cde_eval(data, Bandwidth(0.4), 0.7, y0) == pytest.approx(want, abs=1e-15)
+        assert cde_eval(data, 0.4, 0.7, y0) == pytest.approx(want, abs=1e-15)
 
 
 def test_cde_eval_range_and_monotone_in_y():
@@ -109,7 +171,7 @@ def test_cde_curve_matches_pointwise_exactly():
 
 def test_cde_curve_collapses_duplicate_y():
     data = Dataset([2.0, 2.0, 2.0], [[0.1], [0.2], [0.3]])
-    curve = cde_curve(data, Bandwidth(0.5), 0.2)
+    curve = cde_curve(data, 0.5, 0.2)
     assert list(curve.knots) == [2.0]
     assert list(curve.levels) == [1.0]
 
@@ -117,9 +179,9 @@ def test_cde_curve_collapses_duplicate_y():
 def test_kernel_underflow():
     data = Dataset([1.0, 2.0], [[0.0], [1.0]])
     with pytest.raises(KernelUnderflow):
-        cde_eval(data, Bandwidth(0.01), 1e9, 1.0)
+        cde_eval(data, 0.01, 1e9, 1.0)
     with pytest.raises(KernelUnderflow):
-        cde_curve(data, Bandwidth(0.01), 1e9)
+        cde_curve(data, 0.01, 1e9)
 
 
 def test_index_p1_equals_raw():
@@ -140,7 +202,7 @@ def test_index_matches_brute_force():
     x0 = np.array([0.1, 0.2, -0.4])
     for y0 in (-1.0, 0.0, 0.8):
         want = brute_index_cde(y, X, beta, 0.35, x0, y0)
-        got = index_cde_eval(data, beta, Bandwidth(0.35), x0, y0)
+        got = index_cde_eval(data, beta, 0.35, x0, y0)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -152,15 +214,15 @@ def test_index_depends_only_on_projections():
     x0 = np.array([0.3, -0.2])
     th = 0.7
     Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    a = index_cde_eval(Dataset(y, X), beta, Bandwidth(0.4), x0, 0.1)
-    b = index_cde_eval(Dataset(y, X @ Q), Q.T @ beta, Bandwidth(0.4), Q.T @ x0, 0.1)
+    a = index_cde_eval(Dataset(y, X), beta, 0.4, x0, 0.1)
+    b = index_cde_eval(Dataset(y, X @ Q), Q.T @ beta, 0.4, Q.T @ x0, 0.1)
     assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_grad_zero_for_identical_rows_displacement():
     X = np.tile([0.4, -0.1], (6, 1))
     y = np.arange(6.0)
-    g = index_cde_grad(Dataset(y, X), np.array([1.0, 0.0]), Bandwidth(0.5),
+    g = index_cde_grad(Dataset(y, X), np.array([1.0, 0.0]), 0.5,
                        np.array([0.4, -0.1]), 3.0)
     assert list(g) == [0.0, 0.0]
 
@@ -170,7 +232,7 @@ def test_grad_zero_for_symmetric_configuration():
     # pattern: the two quotient-rule terms cancel
     X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
     y = np.array([1.0, 2.0, 2.0, 1.0])
-    g = index_cde_grad(Dataset(y, X), np.array([1.0]), Bandwidth(0.8),
+    g = index_cde_grad(Dataset(y, X), np.array([1.0]), 0.8,
                        np.array([0.0]), 1.5)
     assert abs(g[0]) < 1e-12
 
@@ -187,7 +249,7 @@ def test_grad_matches_finite_differences():
         beta = rng.normal(size=p)
         x0 = rng.normal(size=p)
         y0 = float(np.median(y))
-        h = Bandwidth(0.5)
+        h = 0.5
         g = index_cde_grad(data, beta, h, x0, y0)
         for m in range(p):
             e = np.zeros(p)
@@ -212,13 +274,13 @@ def test_shard_partials_reduce_bit_for_bit(n_labels, decimals, seed):
     full = Dataset(y, X, shard_of=labels)
     beta = np.array([0.8, -0.6])
     x0 = rng.normal(size=p)
-    h = Bandwidth(0.45)
+    h = 0.45
     y0 = float(rng.choice(y))
 
     z = X @ beta
-    t = (z - float(x0 @ beta)) / h.h
-    w = (np.exp(-0.5 * t * t) / SQRT_2PI) / h.h
-    dw = (-t * np.exp(-0.5 * t * t) / SQRT_2PI) / (h.h * h.h)
+    t = (z - float(x0 @ beta)) / h
+    w = (np.exp(-0.5 * t * t) / SQRT_2PI) / h
+    dw = (-t * np.exp(-0.5 * t * t) / SQRT_2PI) / (h * h)
     mask = y <= y0
     s1, s2 = math.fsum(w[mask]), math.fsum(w)
     num_grad = []
@@ -293,17 +355,17 @@ def test_all_isolated_at_the_underflow_edge():
 def test_cv_bandwidth_basics():
     rng = np.random.default_rng(17)
     data = make_data(rng, n=50)
-    only = Bandwidth(0.33)
-    assert cv_bandwidth(data, grid=[only]) is only
+    only = 0.33
+    assert cv_bandwidth(data, grid=[only]) == only
     with pytest.raises(EmptyGrid):
         cv_bandwidth(data, grid=[])
     grid = default_bandwidth_grid(data.X[:, 0])
     pick = cv_bandwidth(data, grid=grid)
     shifted = Dataset(data.y + 5.0, data.X)
-    assert cv_bandwidth(shifted, grid=grid).h == pick.h
+    assert cv_bandwidth(shifted, grid=grid) == pick
     # duplicated entries: ties resolve to the first (smallest) instance
-    twice = [Bandwidth(pick.h), Bandwidth(pick.h)]
-    assert cv_bandwidth(data, grid=twice) is twice[0]
+    twice = [pick, pick]
+    assert cv_bandwidth(data, grid=twice) == pick
 
 
 def test_cv_bandwidth_sine_model_snapshot():
@@ -316,7 +378,7 @@ def test_cv_bandwidth_sine_model_snapshot():
     data = Dataset(y, x)
     pick = cv_bandwidth(data)
     sx = float(np.std(x))
-    assert 0.05 * sx <= pick.h <= 1.0 * sx
+    assert 0.05 * sx <= pick <= 1.0 * sx
 
 
 def test_cv_bandwidth_memory_is_bounded_by_row_blocks():
@@ -327,7 +389,7 @@ def test_cv_bandwidth_memory_is_bounded_by_row_blocks():
     data = Dataset(x + rng.normal(size=n), x)
     tracemalloc.start()
     try:
-        cv_bandwidth(data, grid=[Bandwidth(0.2), Bandwidth(0.4)])
+        cv_bandwidth(data, grid=[0.2, 0.4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,7 +414,7 @@ def tied_sharded_data(draw):
 def test_cde_curve_equals_cde_eval_at_every_knot(case):
     data, rng = case
     h = rule_bandwidth(data.X[:, 0])
-    x0 = float(rng.choice(data.X[:, 0]) + 0.5 * h.h * rng.normal())
+    x0 = float(rng.choice(data.X[:, 0]) + 0.5 * h * rng.normal())
     curve = cde_curve(data, h, x0)
     assert list(curve.knots) == list(np.unique(data.y))
     for knot, level in zip(curve.knots, curve.levels):
@@ -370,9 +432,9 @@ def test_cde_curve_is_exact_down_to_subnormal_weights():
     assert np.any((w > 0.0) & (w < np.finfo(float).tiny)) and np.any(w == 0.0)
     for labels in ([0] * 9, [2, 0, 1, 2, 0, 1, 2, 0, 1]):
         data = Dataset(y, x, shard_of=labels)
-        curve = cde_curve(data, Bandwidth(1.0), 0.0)
+        curve = cde_curve(data, 1.0, 0.0)
         for knot, level in zip(curve.knots, curve.levels):
-            assert cde_eval(data, Bandwidth(1.0), 0.0, knot) == level
+            assert cde_eval(data, 1.0, 0.0, knot) == level
         assert curve.levels[-1] == 1.0
 
 
@@ -388,8 +450,8 @@ def test_cde_curve_equals_cde_eval_across_binades(n, decimals, n_labels,
     y = np.round(x + rng.normal(size=n), decimals)
     labels = rng.choice(rng.permutation(20)[:n_labels], size=n)
     data = Dataset(y, x, shard_of=labels)
-    h = Bandwidth(10.0 ** log_h)
-    x0 = float(x.max() + reach * h.h)
+    h = 10.0 ** log_h
+    x0 = float(x.max() + reach * h)
     try:
         curve = cde_curve(data, h, x0)
     except KernelUnderflow:
@@ -410,8 +472,8 @@ def dense_cv_scores(data, grid):
     ind = y[:, None] <= y[None, :]
     scores = []
     for bw in grid:
-        w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / bw.h) ** 2)
-        w /= SQRT_2PI * bw.h
+        w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / bw) ** 2)
+        w /= SQRT_2PI * bw
         np.fill_diagonal(w, 0.0)
         s2 = w.sum(axis=1)
         if not np.all(s2 > 0.0):
@@ -432,10 +494,10 @@ def test_cv_bandwidth_matches_dense_reference(case):
     # two scores equal to rounding may be ordered either way by either sum
     assume(math.isfinite(best) and second - best > 1e-9 * best)
     want = grid[scores.index(best)]
-    assert cv_bandwidth(data, grid=grid) is want
+    assert cv_bandwidth(data, grid=grid) == want
     perm = rng.permutation(data.n)
     shuffled = Dataset(data.y[perm], data.X[perm], shard_of=data.shard_of[perm])
-    assert cv_bandwidth(shuffled, grid=grid) is want
+    assert cv_bandwidth(shuffled, grid=grid) == want
 
 
 def test_rule_bandwidth_guard():
@@ -450,7 +512,7 @@ def test_cv_scores_match_dense_reference(case, rows):
     grid = default_bandwidth_grid(data.X[:, 0])
     # a bandwidth far below the nearest-neighbour spacing leaves some rows
     # without leave-one-out weight, so it must be skipped as in the reference
-    grid.append(Bandwidth(1e-3 * grid[0].h))
+    grid.append(1e-3 * grid[0])
     cells = _CV_BLOCK_CELLS if rows is None else rows * data.n
     with mock.patch("aqr.kernel_cde._CV_BLOCK_CELLS", cells):
         totals = _cv_scores(data, grid)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -349,6 +350,22 @@ def test_evaluate_sharpe_and_beat_rate():
         evaluate(ReturnsMatrix(np.full((5, 1), 0.01)), w, np.zeros(5))
     with pytest.raises(ShapeMismatch):
         evaluate(returns, w, np.zeros(10))
+    # a non-finite benchmark day cannot be beaten or lost
+    for bad in (np.nan, np.inf, -np.inf):
+        bench = np.zeros(252)
+        bench[7] = bad
+        with pytest.raises(DomainError):
+            evaluate(returns, w, bench)
+
+
+def test_bad_mode_fails_before_the_first_iteration():
+    # the mode is checked where the order-statistic weights are made, so
+    # no start is projected before the error
+    returns = sample_returns(21, days=300, d=4)
+    with mock.patch("aqr.portfolio.project_simplex",
+                    side_effect=AssertionError("iterated")):
+        with pytest.raises(DomainError, match="mode must be"):
+            optimize_weights(returns, es(), 0.05, mode="bogus")
 
 
 def test_weights_serialization():

@@ -6,7 +6,7 @@ from aqr.errors import (DegenerateWeights, DomainError, EmptyInput,
 from aqr.families import WeightFamily, es, exp_spectral, extremile, ge, ges, qr_dirac
 from aqr.oracle import normal, population_aqr
 from aqr.sample_risk import (CoherenceReport, aqr_sample, coherence_check,
-                             comonotone_with, risk_sample)
+                             comonotone_with, order_weights, risk_sample)
 
 tcrm_hi = WeightFamily("tcrm", schedule="half-inverse")
 FAMILIES = [es(), ges(1.0), extremile(), ge("half-inverse"), tcrm_hi]
@@ -64,6 +64,9 @@ def test_input_validation():
         aqr_sample(np.ones((3, 2)), es(), 0.1)
     with pytest.raises(DomainError):
         aqr_sample([1.0, 2.0], es(), 0.1, mode="weird")
+    # the mode is checked before the weights, which are degenerate here
+    with pytest.raises(DomainError):
+        order_weights(es(), 0.1, 2, "weird")
     with pytest.raises(ShapeMismatch):
         coherence_check([1.0, 2.0], [1.0], es(), 0.1)
 

@@ -165,6 +165,9 @@ def test_normalize_beta_cases():
         normalize_beta([0.0, 1.0])
     with pytest.raises(ZeroVector):
         normalize_beta([0.0, 0.0])
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(DomainError):
+            normalize_beta(bad)
 
 
 def test_index_model_invariants():
@@ -174,6 +177,9 @@ def test_index_model_invariants():
         IndexModel(np.array([1.0, 1.0]), 0.3)
     with pytest.raises(DomainError):
         IndexModel(np.array([-0.6, 0.8]), 0.3)
+    for bad in ([1.0, np.nan], [np.nan], [np.inf, 0.0]):
+        with pytest.raises(DomainError):
+            IndexModel(np.array(bad), 0.3)
 
 
 def test_fit_single_covariate_short_circuits():
@@ -213,7 +219,7 @@ def test_fit_keeps_going_when_one_row_is_isolated():
         + 0.3 * rng.standard_normal(n)
     data = Dataset(y, X)
     z = X @ normalize_beta(np.ones(2))
-    h = rule_bandwidth(z, 0.15).h
+    h = rule_bandwidth(z, 0.15)
     weights = np.exp(-0.5 * ((z[:, None] - z[None, :]) / h) ** 2)
     assert (weights[-1] > 0.0).sum() == 1
     direct = fit_full(data, h, normalize_beta(np.ones(2)))
@@ -221,7 +227,7 @@ def test_fit_keeps_going_when_one_row_is_isolated():
         direct.beta, [0.5133381002334925, 0.8581864569245247], rtol=1e-12)
     # n = 400 takes fit_pooled's pilot start, which reaches the same point
     model = fit_pooled(data)
-    assert model.h.h == h
+    assert model.h == h
     assert np.max(np.abs(model.beta - direct.beta)) < 1e-6
 
 
@@ -292,7 +298,7 @@ def test_pilot_start_reaches_the_direct_fit(draw):
         data, _ = quadratic_model(np.random.default_rng(seed), n=500)
     direct = _direct_fit(data)
     model = fit_pooled(data)
-    assert model.h.h == direct.h.h
+    assert model.h == direct.h
     assert np.max(np.abs(model.beta - direct.beta)) < 1e-6
     want = psis_objective(data, direct.beta, direct.h)
     assert psis_objective(data, model.beta, model.h) \
@@ -311,11 +317,11 @@ def test_below_the_pilot_floor_the_fit_is_the_direct_fit(n):
 def test_a_fixed_bandwidth_fit_takes_no_pilot():
     data, _ = quadratic_model(np.random.default_rng(33), n=4 * PILOT_MIN_ROWS)
     init = normalize_beta(np.ones(data.p))
-    for h in (0.8, 4.0 * rule_bandwidth(data.X @ init, 0.15).h):
+    for h in (0.8, 4.0 * rule_bandwidth(data.X @ init, 0.15)):
         with mock.patch("aqr.experiments.fit_full", wraps=fit_full) as spy:
             model = fit_pooled(data, None, h)
         assert spy.call_count == 1
-        assert model.h.h == h
+        assert model.h == h
         assert np.array_equal(model.beta, fit_full(data, h, init).beta)
 
 
