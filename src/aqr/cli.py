@@ -481,7 +481,10 @@ COMMANDS = {
         _cmd_validate),
     "compare": Command(
         "population risk table across six distributions", [],
-        _object(taus=_taus(ex.COMPARE_TAUS)), _cmd_compare),
+        # its ordering checks hold in the upper tail only
+        _object(taus={**_taus(ex.COMPARE_TAUS),
+                      "items": {**_TAU_ITEM, "exclusiveMinimum": 0.5}}),
+        _cmd_compare),
     "sim1": Command(
         "replicated one-covariate estimation study", [],
         _object(seed={**_SEED, "default": 1}, preset=_PRESET, reps=_REPS,

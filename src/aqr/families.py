@@ -118,10 +118,14 @@ def _extremile_alpha(family, tb):
 
 
 def _tcrm_j(alpha, tb, sb):
-    # (alpha sb)^2 passes the float range only where alpha sb > 1.3e154;
-    # J there is below 1/(alpha sb^2), and is taken as 0
-    with np.errstate(over="ignore"):
-        return alpha / ((1.0 + (alpha * sb) ** 2) * math.atan(alpha))
+    # the denominator (1 + t^2) atan(alpha), t = alpha sb, passes the float
+    # range only where t > about 1e154; 1 + t^2 is t^2 there to the bit, so
+    # J = 1/(t sb atan alpha)
+    t = alpha * sb
+    with np.errstate(over="ignore", divide="ignore"):
+        den = (1.0 + t ** 2) * math.atan(alpha)
+        return np.where(np.isinf(den), 1.0 / (t * sb * math.atan(alpha)),
+                        alpha / den)
 
 
 def _ge_g(alpha, t, tb, u):

@@ -19,7 +19,9 @@ each for its own use:
   prefix sums of the weights scaled by 2^1074, so every level is the real
   number the masked compensated sum rounds.
 * _cv_scores: leave-one-out, with each row's weights shifted by its nearest
-  distance so that every bandwidth shares the squared distances.
+  distance so that every bandwidth shares the squared distances; a
+  bandwidth stops once its running total over the blocks exceeds a
+  completed total by more than rounding can take back.
 """
 
 import itertools
@@ -39,6 +41,9 @@ _CV_BLOCK_CELLS = 1 << 16
 # float array, which stays in cache and below malloc's default mmap
 # threshold, so temporaries are not page-faulted in afresh on every block
 _BLOCK_CELLS = 1 << 14
+# per row still to score, times n (n + 4): what rounding can take off a CV
+# running total before it completes (derived in cv_bandwidth)
+_CV_ROW_SLACK = 16 * 2.0**-53
 _ULP_SCALE = 1 << 1074
 
 
@@ -325,35 +330,42 @@ def default_bandwidth_grid(values, size=12):
 
 
 def _cv_scores(data, grid):
-    """n^2 CV(h) for each grid bandwidth, in grid order; nan where some
-    row's leave-one-out weights vanish."""
+    """n^2 CV(h) for each grid bandwidth, in grid order: nan where some
+    row's leave-one-out weights vanish, and inf where the bandwidth was
+    stopped because it cannot be the pick (see cv_bandwidth)."""
     z, _ = _conditioner(data)
+    n = data.n
     ys = _YSorted(data.y, z)
     count = ys.count
     # D_i = sum_j c_j I(y_i <= y_j) at each sorted row: no bandwidth in it
     above = ys.reach(count[None, :])[0]
-    totals = np.zeros(len(grid))
-    size = max(1, _CV_BLOCK_CELLS // data.n)
-    for pos in ys.blocks(np.arange(data.n), size):
+    # each row's squared distance to its nearest other row, at each sorted
+    # row: rounding keeps z_l - z_i monotone in z_l, so the nearest is a
+    # neighbour in z order, and the value is the one the blocks' own
+    # squared distances hold
+    by_z = np.argsort(z, kind="stable")
+    gap = np.square(np.diff(z[by_z]))
+    nearest = np.empty(n)
+    nearest[by_z] = np.minimum(np.append(gap, math.inf),
+                               np.insert(gap, 0, math.inf))
+    nearest = nearest[ys.order]
+
+    totals = np.full(len(grid), math.nan)
+
+    def add(pos, members):
+        """Add the block of sorted rows pos to the running totals of the
+        grid entries `members`, which share its squared distances."""
         sq = np.square(ys.diff(ys.order[pos]))
         # leave one out: a row's own weight is exp(-inf) = 0
         sq[np.arange(pos.size), pos] = math.inf
-        nearest = sq.min(axis=1)
-        sq -= nearest[:, None]
+        sq -= nearest[pos, None]
         w = np.empty_like(sq)
         # I(y_i <= y_j) is 0 for runs j < first and 1 for runs j >= last
         first, last = ys.run[pos[0]], ys.run[pos[-1]]
         band = (pos[:, None] <= ys.ends[None, first:last]) * count[first:last]
         tail = count[last:]
-        for g, h in enumerate(grid):
-            if math.isnan(totals[g]):
-                continue
-            scale = -0.5 / (h * h)
-            # each row's largest weight, _phi(d_i / h) / h
-            if not np.all(np.exp(nearest * scale) / (SQRT_2PI * h) > 0.0):
-                totals[g] = math.nan
-                continue
-            np.multiply(sq, scale, out=w)
+        for g in members:
+            np.multiply(sq, -0.5 / (grid[g] * grid[g]), out=w)
             np.exp(w, out=w)
             np.cumsum(w, axis=1, out=w)
             s2 = w[:, -1].copy()
@@ -364,6 +376,31 @@ def _cv_scores(data, grid):
             power = np.square(stairs, out=stairs) @ count
             totals[g] += float(np.sum(
                 (power / s2 - 2.0 * cross) / s2 + above[pos]))
+
+    # each row's largest weight, _phi(d_i / h) / h, must not vanish
+    live = [g for g, h in enumerate(grid)
+            if np.all(np.exp(nearest * (-0.5 / (h * h))) / (SQRT_2PI * h)
+                      > 0.0)]
+    if not live:
+        return totals
+    totals[live] = 0.0
+    blocks = ys.blocks(np.arange(n), max(1, _CV_BLOCK_CELLS // n))
+    add(blocks[0], live)
+    lead = min(live, key=lambda g: (totals[g], grid[g]))
+    for pos in blocks[1:]:
+        add(pos, [lead])
+    racing = [g for g in live if g != lead]
+    left = n - blocks[0].size
+    for pos in blocks[1:]:
+        bound = totals[lead] + left * _CV_ROW_SLACK * n * (n + 4)
+        for g in racing:
+            if totals[g] > bound:
+                totals[g] = math.inf
+        racing = [g for g in racing if totals[g] <= bound]
+        if not racing:
+            break
+        add(pos, racing)
+        left -= pos.size
     return totals
 
 
@@ -392,8 +429,27 @@ def cv_bandwidth(data, *, grid=None):
     a C_il^2 underflows only where it is negligible against A_i >= 1, and
     each bandwidth costs one scaled exp, one cumulative sum and the
     reductions for A_i and B_i. A row's weights vanish when its largest,
-    _phi(d_i / h) / h at the nearest distance d_i, does. O(n^2) work per
-    bandwidth and O(block * n) memory.
+    _phi(d_i / h) / h at the nearest distance d_i, does; that is known
+    before any block is scored. Memory is O(block * n).
+
+    A bandwidth stops once it cannot win. Every row's loss is a sum of
+    squares, so a running total over the blocks only grows. The first block
+    is scored at every bandwidth, and the one with the smallest loss there
+    (ties to the smaller h) leads: it is scored over every block. The others
+    then race block by block, sharing each block's squared distances, and
+    one stops, reading inf, once its running total exceeds the lead's total
+    plus a rounding allowance for the rows still to come. A total that
+    completes is the one a full pass computes, bit for bit, so the pick is
+    the same. The allowance, per row left, is 16 n (n + 4) u with u =
+    2^-53. With gamma = n u, the cumulative sums give every C_il and s2_i
+    to within gamma s2_i, so each ratio C_il / s2_i is within about
+    2 gamma. A_i / s2_i^2 <= n and 2 B_i / s2_i <= 2n then carry about
+    4 n gamma each from those ratios and 3 n gamma together from their own
+    sums, and the last four operations about 12 n u: about 11 n^2 u +
+    12 n u for a row's loss, whose exact value is >= 0. The pairwise sum
+    over a block's rows adds about 17 n u per row. Adding a block to a
+    running total, and forming the bound itself, each cost at most n^2 u,
+    as a total is at most n^2, and a block holds at least one row.
     """
     z, _ = _conditioner(data)
     if grid is None:

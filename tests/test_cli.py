@@ -259,9 +259,11 @@ def test_conflicting_config_keys_exit_2(tmp_path, capsys, command, config):
     ("portfolio", {"family": {"kind": "tcrm", "schedule": "nope"}}),
     ("validate", {"violators": ["nope"]}),
     ("sim2", {"n": 20, "K": 15, "reps": 1}),
+    ("compare", {"taus": [0.05, 0.1, 0.3]}),
+    ("compare", {"taus": [0.9, 0.5]}),
 ], ids=["kind", "es-shape", "schedule", "tabulated", "ges-negative",
         "kind-number", "es-schedule", "portfolio-kind", "portfolio-schedule",
-        "violator", "sim2-shards"])
+        "violator", "sim2-shards", "compare-lower-tail", "compare-median"])
 def test_config_the_engines_reject_exits_2_before_any_input(
         tmp_path, capsys, command, config):
     # the input files do not exist: the config is rejected before they

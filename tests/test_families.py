@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from aqr.errors import DomainError, ScheduleDomain, SingularDensity
+from aqr.sample_risk import aqr_sample
 from aqr.families import (ALPHA_LIMIT, WeightFamily, _at, _density,
                           default_s_grid, es, exp_spectral, extremile,
                           g_value, ge, ges, j_value, omega, qr_dirac,
@@ -269,3 +271,21 @@ def test_levels_next_to_zero_evaluate_without_overflow_warnings():
     for tau in (5e-324, 1e-310):
         with pytest.raises(DomainError, match="extremile shape overflows"):
             j_value(extremile(), tau, u)
+
+
+def test_tcrm_density_stays_positive_where_its_square_overflows():
+    # at tau = 1e-300 the shape is near 5e299, so (1 + (alpha s)^2) atan
+    # alpha passes the float range for every s above about 2.1e-146, and
+    # (alpha s)^2 itself above about 2.7e-146
+    alpha = _at(tcrm(), 1e-300)[1]
+    s = np.array([0.0, 1e-300, 1e-160, 2e-146, 2.5e-146, 2.7e-146, 1e-100,
+                  1e-10, 0.3, 1.0])
+    got = j_value(tcrm(), 1e-300, s)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for point, value in zip(s.tolist(), got.tolist()):
+            want = a / ((1 + (a * point) ** 2) * mpmath.atan(a))
+            assert value == pytest.approx(float(want), rel=1e-12)
+    # every plotting position keeps a positive weight
+    draws = np.random.default_rng(0).normal(size=200)
+    assert math.isfinite(aqr_sample(draws, tcrm(), 1e-300))

@@ -465,23 +465,28 @@ def test_cde_curve_equals_cde_eval_across_binades(n, decimals, n_labels,
     assert curve.levels[-1] == 1.0
 
 
-def dense_cv_scores(data, grid):
-    """CV(h) per grid bandwidth from the dense n x n formula fhat = w @ ind;
-    inf where some leave-one-out weight sum vanishes."""
+def dense_row_losses(data, bw):
+    """Each row's leave-one-out loss sum_l (I(y_i <= y_l) - fhat_il)^2 from
+    the dense n x n formula fhat = w @ ind; inf where the row's leave-one-out
+    weight sum vanishes."""
     z, y = data.X[:, 0], data.y
     ind = y[:, None] <= y[None, :]
-    scores = []
-    for bw in grid:
-        w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / bw) ** 2)
-        w /= SQRT_2PI * bw
-        np.fill_diagonal(w, 0.0)
-        s2 = w.sum(axis=1)
-        if not np.all(s2 > 0.0):
-            scores.append(math.inf)
-            continue
-        fhat = (w @ ind) / s2[:, None]
-        scores.append(float(np.mean(np.square(ind - fhat))))
-    return scores
+    w = np.exp(-0.5 * ((z[None, :] - z[:, None]) / bw) ** 2)
+    w /= SQRT_2PI * bw
+    np.fill_diagonal(w, 0.0)
+    s2 = w.sum(axis=1)
+    ok = s2 > 0.0
+    losses = np.full(data.n, math.inf)
+    fhat = (w[ok] @ ind) / s2[ok, None]
+    losses[ok] = np.square(ind[ok] - fhat).sum(axis=1)
+    return losses
+
+
+def dense_cv_scores(data, grid):
+    """CV(h) per grid bandwidth from dense_row_losses; inf where some
+    leave-one-out weight sum vanishes."""
+    return [float(np.sum(dense_row_losses(data, bw))) / data.n**2
+            for bw in grid]
 
 
 @settings(max_examples=40, deadline=None)
@@ -517,8 +522,100 @@ def test_cv_scores_match_dense_reference(case, rows):
     with mock.patch("aqr.kernel_cde._CV_BLOCK_CELLS", cells):
         totals = _cv_scores(data, grid)
     want = dense_cv_scores(data, grid)
+    # a bandwidth stopped because it cannot be the pick reads inf
+    floor = min(ref for ref in want if math.isfinite(ref))
     for got, ref in zip((totals / data.n**2).tolist(), want):
         if math.isinf(ref):
             assert math.isnan(got)
+        elif math.isinf(got):
+            assert ref > floor
         else:
             assert got == pytest.approx(ref, rel=1e-12)
+
+
+def one_entry_pick(data, grid):
+    """The argmin, ties to the smallest h, of the one-entry totals
+    _cv_scores(data, [h]): a one-entry grid has nothing to race, so each is
+    the total of a full pass. None when every total is nan."""
+    totals = [(float(_cv_scores(data, [h])[0]), h) for h in grid]
+    finite = [pair for pair in totals if math.isfinite(pair[0])]
+    return min(finite)[1] if finite else None
+
+
+def assert_pick_is_one_entry_argmin(data, grid):
+    want = one_entry_pick(data, grid)
+    if want is None:
+        with pytest.raises(KernelUnderflow):
+            cv_bandwidth(data, grid=grid)
+    else:
+        assert cv_bandwidth(data, grid=grid) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_sharded_data(), st.sampled_from([1, 7, None]), st.data())
+def test_cv_bandwidth_is_the_argmin_of_one_entry_totals(case, rows, draw):
+    data, _ = case
+    base = default_bandwidth_grid(data.X[:, 0])
+    # unsorted, with repeats, and with a bandwidth far below the spacing
+    grid = draw.draw(st.lists(st.sampled_from(base + [1e-3 * base[0]]),
+                              min_size=1, max_size=16))
+    cells = _CV_BLOCK_CELLS if rows is None else rows * data.n
+    with mock.patch("aqr.kernel_cde._CV_BLOCK_CELLS", cells):
+        assert_pick_is_one_entry_argmin(data, grid)
+
+
+def _sine_case(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    return Dataset(np.sin(2.0 * x) + rng.normal(size=n), x)
+
+
+def _isolated_outlier_case():
+    # y = x on an even 59-point comb, and one row 0.6 past it at the top y:
+    # h = 0.012 scores best on the lowest rows, but the top row's nearest
+    # distance is 50 bandwidths, so its leave-one-out weights vanish
+    x = np.append(np.linspace(0.0, 1.0, 59), 1.6)
+    y = np.append(np.linspace(0.0, 1.0, 59), 10.0)
+    return Dataset(y, x)
+
+
+def _misleading_cases():
+    # the sine draw's first block is best at c/2, the whole data's at the
+    # sixth entry; the comb's first block is best at h = 0.012, which
+    # vanishes on its last row
+    sine = _sine_case(0, 60)
+    return [(sine, default_bandwidth_grid(sine.X[:, 0]), 0, False),
+            (_isolated_outlier_case(), [0.2, 0.012, 0.05, 0.012], 1, True)]
+
+
+@pytest.mark.parametrize("data, grid, lead, vanishes", _misleading_cases(),
+                         ids=["sine", "outlier"])
+def test_cv_bandwidth_keeps_the_pick_when_the_first_block_misleads(
+        data, grid, lead, vanishes):
+    rows = 7
+    first = np.argsort(data.y, kind="stable")[:rows]
+    losses = [dense_row_losses(data, h) for h in grid]
+    head = [float(np.sum(loss[first])) for loss in losses]
+    assert min(range(len(grid)), key=lambda g: (head[g], grid[g])) == lead
+    assert math.isinf(float(np.sum(losses[lead]))) == vanishes
+    pick = one_entry_pick(data, grid)
+    assert pick != grid[lead]
+    with mock.patch("aqr.kernel_cde._CV_BLOCK_CELLS", rows * data.n):
+        assert cv_bandwidth(data, grid=grid) == pick
+
+
+def test_cv_scores_stop_bandwidths_that_cannot_win():
+    # the sine design at n = 300 and the outlier comb, in 7-row blocks:
+    # some bandwidths stop, and each stopped total completes above the pick
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=300)
+    sine = Dataset(20.0 * np.sin(math.pi * x) + rng.normal(size=300), x)
+    for data, grid in [(sine, default_bandwidth_grid(x)),
+                       (_isolated_outlier_case(), [0.012, 0.05, 0.2])]:
+        with mock.patch("aqr.kernel_cde._CV_BLOCK_CELLS", 7 * data.n):
+            totals = _cv_scores(data, grid).tolist()
+        stopped = [h for h, total in zip(grid, totals) if math.isinf(total)]
+        assert stopped
+        best = min(t for t in totals if math.isfinite(t))
+        for h in stopped:
+            assert _cv_scores(data, [h])[0] > best

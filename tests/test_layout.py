@@ -39,6 +39,9 @@ SIX_DISTRIBUTIONS) pair a row label with a distribution, whose record gives
 its sampler and tail index, so no module compares a value with a roster
 label or keys a dict by one; only the kind record itself, oracle._DIST_KINDS,
 has keys that are also labels.
+The leave-one-out CV scores stop each bandwidth once it cannot be the pick,
+so they are read only through kernel_cde.cv_bandwidth, which takes the pick
+from them: no other function calls _cv_scores.
 Last, the package's export list must name each public object once and
 resolve.
 """
@@ -261,6 +264,14 @@ def _named_kinds(node, names):
             else [])
 
 
+def _enclosing(functions, line):
+    """The name of the innermost of `functions` that holds `line`, or
+    None."""
+    owner = min((f for f in functions if f.lineno <= line <= f.end_lineno),
+                key=lambda f: f.end_lineno - f.lineno, default=None)
+    return getattr(owner, "name", None)
+
+
 def test_no_module_branches_on_a_kind_outside_the_records():
     names = set(KINDS) | set(_DIST_KINDS)
     found = []
@@ -270,11 +281,7 @@ def test_no_module_branches_on_a_kind_outside_the_records():
                      if isinstance(node, (ast.FunctionDef, ast.Lambda))]
         for node in ast.walk(tree):
             for name in _named_kinds(node, names):
-                owner = min((f for f in functions
-                             if f.lineno <= node.lineno <= f.end_lineno),
-                            key=lambda f: f.end_lineno - f.lineno,
-                            default=None)
-                where = (path.name, getattr(owner, "name", None))
+                where = (path.name, _enclosing(functions, node.lineno))
                 if not (name == "qr-dirac" and where in DIRAC_READERS):
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
@@ -292,6 +299,18 @@ def test_no_module_branches_on_a_roster_label():
                   for node in ast.walk(tree) if node not in record
                   for name in _spelled(_operands(node), labels)]
     assert found == []
+
+
+def test_only_cv_bandwidth_reads_the_cv_scores():
+    callers = []
+    for path in sorted(Path(aqr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        callers += [f"{path.name}:{_enclosing(functions, line)}"
+                    for name, line in _called_names(path)
+                    if name == "_cv_scores"]
+    assert callers == ["kernel_cde.py:cv_bandwidth"]
 
 
 def test_package_exports_are_unique_and_resolve():
