@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributed import (ShardPlan, _central_shard, aae, local_init,
                           partition, run_distributed)
-from .errors import AqrError, DomainError, ParseError
+from .errors import AqrError, DomainError, ParseError, ShapeMismatch
 from .estimator import _check_ends, _telescope, aqr_conditional, rpad
 from .families import (KINDS, WeightFamily, _tau, es, exp_spectral,
                        extremile, ge, ges, qr_dirac, tabulated, tcrm,
@@ -226,23 +226,23 @@ def _sim1_probe(tau):
     return -0.5 if float(tau) < 0.5 else 0.5
 
 
+def _probe_estimates(y, z, x0s, taus):
+    """Estimate per (family label, tau) from the CV-bandwidth kernel CDF of y
+    given the scalar z, read at x0s[k] for taus[k]; sim1 and sim2 both call
+    it. One curve per distinct probe serves every family read there."""
+    data = Dataset(y, z[:, None])
+    h = cv_bandwidth(data)
+    curves = {x0: cde_curve(data, h, x0) for x0 in dict.fromkeys(x0s)}
+    return {(fam_label, tau): aqr_conditional(curves[x0], fam, tau).value
+            for fam_label, fam in study_families()
+            for x0, tau in zip(x0s, taus)}
+
+
 def _sim1_rep(args):
     master, error_index, rep, n, taus = args
     rng = np.random.default_rng(_rep_seed(master, error_index, rep))
     x, y = _sim1_draw(rng, SIM1_ERRORS[error_index][1], n)
-    data = Dataset(y, x[:, None])
-    h = cv_bandwidth(data)
-    curves = {}
-    for tau in taus:
-        x0 = _sim1_probe(tau)
-        if x0 not in curves:
-            curves[x0] = cde_curve(data, h, x0)
-    out = {}
-    for fam_label, fam in study_families():
-        for tau in taus:
-            est = aqr_conditional(curves[_sim1_probe(tau)], fam, tau)
-            out[(fam_label, tau)] = est.value
-    return out
+    return _probe_estimates(y, x, [_sim1_probe(t) for t in taus], taus)
 
 
 def run_sim1(master_seed=1, reps=100, n=SIM1_N, taus=SIM1_TAUS, threads=1):
@@ -339,17 +339,6 @@ def _sim2_draw(rng, n):
     return (X @ SIM2_BETA0) ** 2 + eps, X
 
 
-def _index_estimates(y, X, beta, taus):
-    """CV-bandwidth kernel CDF on the fitted index, estimates at the probe."""
-    beta = np.asarray(beta, dtype=float)
-    z = X @ beta
-    sub = Dataset(y, z[:, None])
-    h = cv_bandwidth(sub)
-    F = cde_curve(sub, h, float(SIM2_X0 @ beta))
-    return {(fam_label, tau): aqr_conditional(F, fam, tau).value
-            for fam_label, fam in study_families() for tau in taus}
-
-
 def _sim2_rep(args):
     master, rep, n, K, taus = args
     rng = np.random.default_rng(_rep_seed(master, 0, rep))
@@ -364,8 +353,9 @@ def _sim2_rep(args):
         "aae_de": aae(model_de.beta, SIM2_BETA0),
         "aae_pilot": aae(beta0, SIM2_BETA0),
         "rounds": len(comm.rounds),
-        "est_all": _index_estimates(y, X, model_all.beta, taus),
-        "est_de": _index_estimates(y, X, model_de.beta, taus),
+        **{f"est_{method}": _probe_estimates(
+            y, X @ model.beta, [float(SIM2_X0 @ model.beta)] * len(taus), taus)
+           for method, model in (("all", model_all), ("de", model_de))},
     }
 
 
@@ -428,7 +418,12 @@ def run_portfolio(fit_returns, test_returns, bench, family, tau, **options):
     """Optimize on the fit window, score on the test window; the report
     carries the optimizer's deterministic diagnostics. `options` (starts,
     iterations, seed, mode) go to optimize_weights, which owns their
-    defaults."""
+    defaults. The test window must carry the fit window's asset labels in
+    the same order."""
+    if test_returns.labels != fit_returns.labels:
+        raise ShapeMismatch(
+            f"test window assets {list(test_returns.labels)} differ from the "
+            f"fit window's {list(fit_returns.labels)}")
     weights = optimize_weights(fit_returns, family, tau, **options)
     scores = evaluate(test_returns, weights, bench)
     out = weights.to_json(labels=fit_returns.labels)
@@ -486,11 +481,13 @@ def _csv_records(fh):
 def load_airquality(path, winter=True):
     """Read site-day rows from a raw hourly export or a daily file.
 
-    Requires columns PM2.5, TEMP, PRES, DEWP and WSPM. When an `hour`
-    column is present the rows are averaged per (station, year, month, day)
-    after dropping hours with any missing field; `winter` then keeps
-    December through February of the 2016/17 season. Returns
-    (y, X, shard_of, site_names) with shards indexed by sorted site name.
+    Requires columns PM2.5, TEMP, PRES, DEWP and WSPM, and year, month and
+    day when `winter` is true or an `hour` column is present. With `hour`
+    the rows are averaged per (station, year, month, day) after dropping
+    hours with any missing field; `winter` keeps December through February
+    of the 2016/17 season. Blank lines are skipped; any other record must
+    have the header's field count. Returns (y, X, shard_of, site_names)
+    with shards indexed by sorted site name.
     """
     fields = (AIRQ_RESPONSE,) + AIRQ_COVARIATES
     with open(path, newline="") as fh:
@@ -501,19 +498,27 @@ def load_airquality(path, winter=True):
                 raise ParseError(f"missing required column {col}",
                                  row=1, col=col)
         hourly = "hour" in header
-        dates = AIRQ_DATE if all(c in header for c in AIRQ_DATE) else ()
+        missing = [c for c in AIRQ_DATE if c not in header]
+        if missing and (winter or hourly):
+            raise ParseError(f"missing date column {missing[0]}",
+                             row=1, col=missing[0])
+        dates = () if missing else AIRQ_DATE
         groups = {}
         for i, cells in enumerate(records, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got "
+                                 f"{len(cells)}", row=i)
             rec = dict(zip(header, cells))
-            vals = [_airq_float(rec.get(col) or "", i, col)
-                    for col in fields + dates]
+            vals = [_airq_float(rec[col], i, col) for col in fields + dates]
             if None in vals:
                 continue
             date = tuple(vals[len(fields):])
-            if winter and date and date[:2] not in AIRQ_WINTER:
+            if winter and date[:2] not in AIRQ_WINTER:
                 continue
             site = (rec.get("station") or "").strip()
-            key = (site,) + date if hourly and date else (site, i)
+            key = (site,) + date if hourly else (site, i)
             groups.setdefault(key, []).append(vals[:len(fields)])
     if not groups:
         raise ParseError("no usable rows after filtering", row=2, col=None)

@@ -217,6 +217,9 @@ def evaluate(returns_test, weights, bench):
         raise ShapeMismatch("benchmark must have one return per test day")
     if not np.all(np.isfinite(bench)):
         raise DomainError("benchmark returns must be finite")
+    if returns_test.d != weights.alpha.size:
+        raise ShapeMismatch(f"test window has {returns_test.d} assets, the "
+                            f"weights {weights.alpha.size}")
     series = returns_test.R @ weights.alpha
     spread = float(np.std(series, ddof=1))
     if spread == 0.0:

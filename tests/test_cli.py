@@ -788,6 +788,27 @@ def test_portfolio_cli(tmp_path):
     assert [(tmp_path / name).read_bytes() for name in names] == first
 
 
+@pytest.mark.parametrize("columns", [[1, 0], [0]],
+                         ids=["swapped", "missing"])
+def test_portfolio_test_window_of_other_assets_exits_1_with_one_line(
+        tmp_path, capsys, columns):
+    # weights are read by position, so a reordered test window would score
+    # each weight against another asset's returns
+    fit, test, bench = write_portfolio_csvs(tmp_path)
+    with open(test, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(test, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[c] for c in columns] for row in rows)
+    cfg = write_json(tmp_path / "cfg.json", {"starts": 2, "iterations": 20})
+    assert main(["portfolio", fit, test, bench, "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    labels = [["strong", "weak"][c] for c in columns]
+    assert capsys.readouterr().err == (
+        f"aqr portfolio: ShapeMismatch: test window assets {labels} differ "
+        "from the fit window's ['strong', 'weak']\n")
+    assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
+
+
 def test_portfolio_non_finite_benchmark_exits_1_with_one_line(tmp_path,
                                                              capsys):
     # a day against a nan benchmark would count as not beaten
@@ -908,8 +929,13 @@ AIR_ROW = b"north,2016,12,1,6,40.0,-1.5,1020.0,-9.0,2.1\n"
     ("airquality", "air.csv", AIR_HEADER + AIR_ROW
      + AIR_ROW.replace(b"north", b"n\xffrth"),
      "parse error: byte 0xff is not", 3),
+    ("airquality", "air.csv", AIR_HEADER + AIR_ROW + AIR_ROW[:-5] + b"\n",
+     "parse error: expected 10 fields, got 9", 3),
+    ("airquality", "air.csv", AIR_HEADER.replace(b"year,", b"")
+     + AIR_ROW.replace(b"2016,", b""),
+     "parse error: missing date column year", 1),
 ], ids=["csv-bytes", "csv-field-limit", "config-bytes", "airquality-year",
-        "airquality-bytes"])
+        "airquality-bytes", "airquality-short-row", "airquality-no-year"])
 def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys,
                                                     command, name, data,
                                                     message, row):

@@ -10,15 +10,17 @@ import pytest
 
 from aqr.errors import DomainError, ParseError
 from aqr.estimator import aqr_conditional
-from aqr.experiments import (AIRQ_TAUS, SIM1_ERRORS, SIX_DISTRIBUTIONS,
-                             average_aqr_values, builtin_families,
-                             check_compare_ordering, compare_rows,
-                             k1_newton_gap, load_airquality, run_airquality,
-                             run_portfolio, run_sim1, run_sim2, run_validate,
-                             study_families, violator_families, _rep_seed,
-                             _sim1_draw)
+from aqr.experiments import (AIRQ_TAUS, SIM1_ERRORS, SIM1_TAUS,
+                             SIX_DISTRIBUTIONS, average_aqr_values,
+                             builtin_families, check_compare_ordering,
+                             compare_rows, k1_newton_gap, load_airquality,
+                             run_airquality, run_portfolio, run_sim1,
+                             run_sim2, run_validate, study_families,
+                             violator_families, _rep_seed, _sim1_draw,
+                             _sim1_rep, _sim2_rep)
 from aqr.families import KINDS, es, g_value, qr_dirac, tcrm
-from aqr.kernel_cde import _BLOCK_CELLS, Dataset, _YSorted, cde_curve
+from aqr.kernel_cde import (_BLOCK_CELLS, Dataset, _YSorted, cde_curve,
+                            cv_bandwidth)
 from aqr.oracle import frechet_limit_ratio, normal, population_aqr, quantile
 from aqr.portfolio import ReturnsMatrix
 
@@ -190,6 +192,35 @@ def test_sim2_small_run_deterministic():
     assert len(out["rpad"]) == 5 * 1 * 2
     assert {r["method"] for r in out["rpad"]} == {"all", "de"}
     assert run_sim2(**kwargs, threads=2) == out
+
+
+def _estimate_calls(rep, args):
+    """`rep(args)` with experiments' cv_bandwidth and cde_curve wrapped;
+    returns (result, CV calls, probe of each curve)."""
+    with mock.patch("aqr.experiments.cv_bandwidth",
+                    wraps=cv_bandwidth) as cv, \
+            mock.patch("aqr.experiments.cde_curve", wraps=cde_curve) as curve:
+        out = rep(args)
+    return out, cv.call_count, [call.args[2] for call in curve.call_args_list]
+
+
+def test_sim1_rep_shares_one_curve_per_tail_probe():
+    out, cv_calls, probes = _estimate_calls(_sim1_rep,
+                                            (1, 0, 0, 200, SIM1_TAUS))
+    assert cv_calls == 1
+    assert probes == [-0.5, 0.5]
+    assert list(out) == [(label, tau) for label, _ in study_families()
+                         for tau in SIM1_TAUS]
+
+
+def test_sim2_rep_makes_one_curve_per_method():
+    taus = (0.1, 0.5, 0.9)
+    out, cv_calls, probes = _estimate_calls(_sim2_rep, (2, 0, 120, 3, taus))
+    assert cv_calls == 2
+    assert len(probes) == 2
+    for method in ("all", "de"):
+        assert list(out[f"est_{method}"]) == [
+            (label, tau) for label, _ in study_families() for tau in taus]
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -372,6 +403,62 @@ def test_load_airquality_error_reporting(tmp_path):
     path.write_text(AIRQ_HEADER + "A,2015,7,1,0,5,1,2,3,4\n")
     with pytest.raises(ParseError):
         load_airquality(path)
+
+
+DAILY_HEADER = "station,year,month,day,PM2.5,TEMP,PRES,DEWP,WSPM\n"
+
+
+@pytest.mark.parametrize("extra, fields", [
+    ("A,2016,12,2,5,1,2,3\n", 8),
+    ("A,2016,12,2,5,1,2,3,4,7,8\n", 11),
+], ids=["short", "long"])
+def test_load_airquality_rejects_a_record_of_another_width(tmp_path, extra,
+                                                           fields):
+    path = tmp_path / "daily.csv"
+    path.write_text(DAILY_HEADER + "A,2016,12,1,5,1,2,3,4\n\n"
+                    + "A,2016,12,3,6,1,2,3,4\n" + extra)
+    with pytest.raises(ParseError, match=f"^expected 9 fields, got {fields}$"
+                       ) as err:
+        load_airquality(path)
+    assert err.value.row == 5 and err.value.col is None
+
+
+def test_load_airquality_skips_blank_lines_and_rows_with_gaps(tmp_path):
+    path = tmp_path / "daily.csv"
+    path.write_text(DAILY_HEADER + "A,2016,12,1,5,1,2,3,4\n\n"
+                    + "A,2016,12,2,NA,1,2,3,4\nA,2016,12,3,,1,2,3,4\n"
+                    + "B,2017,1,4,7,1,2,3,4\n")
+    y, X, shard_of, sites = load_airquality(path)
+    assert y.tolist() == [5.0, 7.0] and sites == ["A", "B"]
+
+
+@pytest.mark.parametrize("header, winter, missing", [
+    ("station,PM2.5,TEMP,PRES,DEWP,WSPM", True, "year"),
+    ("station,year,day,PM2.5,TEMP,PRES,DEWP,WSPM", True, "month"),
+    ("station,hour,PM2.5,TEMP,PRES,DEWP,WSPM", False, "year"),
+    ("station,year,month,hour,PM2.5,TEMP,PRES,DEWP,WSPM", False, "day"),
+], ids=["daily-winter", "daily-winter-month", "hourly", "hourly-day"])
+def test_load_airquality_needs_dates_to_filter_or_average(tmp_path, header,
+                                                          winter, missing):
+    width = header.count(",") + 1
+    path = tmp_path / "nodates.csv"
+    path.write_text(header + "\n" + "".join(
+        ",".join(["A"] + [str(k + d)] * (width - 1)) + "\n"
+        for k in range(4) for d in range(2)))
+    with pytest.raises(ParseError, match=f"^missing date column {missing}$"
+                       ) as err:
+        load_airquality(path, winter=winter)
+    assert err.value.row == 1 and err.value.col == missing
+
+
+def test_load_airquality_reads_a_daily_table_without_dates_unfiltered(
+        tmp_path):
+    path = tmp_path / "nodates.csv"
+    path.write_text("station,PM2.5,TEMP,PRES,DEWP,WSPM\n"
+                    "A,5,1,2,3,4\nA,6,1,2,3,4\nB,7,1,2,3,4\n")
+    y, X, shard_of, sites = load_airquality(path, winter=False)
+    assert y.tolist() == [5.0, 6.0, 7.0]
+    assert shard_of.tolist() == [0, 0, 1]
 
 
 def _planted_site_data(rng, sites=3, days=30):

@@ -41,7 +41,11 @@ label or keys a dict by one; only the kind record itself, oracle._DIST_KINDS,
 has keys that are also labels.
 The leave-one-out CV scores stop each bandwidth once it cannot be the pick,
 so they are read only through kernel_cde.cv_bandwidth, which takes the pick
-from them: no other function calls _cv_scores.
+from them: no other function calls _cv_scores. Both simulation studies take
+their conditional estimates (CV bandwidth, one kernel CDF per probe, exact
+reduction per family and level) from experiments._probe_estimates, so a
+change to that recipe reaches both: in experiments.py no other function
+calls cde_curve or aqr_conditional.
 Last, the package's export list must name each public object once and
 resolve.
 """
@@ -311,6 +315,18 @@ def test_only_cv_bandwidth_reads_the_cv_scores():
                     for name, line in _called_names(path)
                     if name == "_cv_scores"]
     assert callers == ["kernel_cde.py:cv_bandwidth"]
+
+
+def test_only_probe_estimates_reads_a_conditional_estimate():
+    path = Path(aqr.__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    callers = {f"experiments.py:{_enclosing(functions, line)} {name}"
+               for name, line in _called_names(path)
+               if name in ("cde_curve", "aqr_conditional")}
+    assert callers == {"experiments.py:_probe_estimates cde_curve",
+                       "experiments.py:_probe_estimates aqr_conditional"}
 
 
 def test_package_exports_are_unique_and_resolve():

@@ -350,6 +350,12 @@ def test_evaluate_sharpe_and_beat_rate():
         evaluate(ReturnsMatrix(np.full((5, 1), 0.01)), w, np.zeros(5))
     with pytest.raises(ShapeMismatch):
         evaluate(returns, w, np.zeros(10))
+    # weights for another asset count: numpy would raise its own error
+    for d in (2, 3):
+        wider = ReturnsMatrix(np.tile(series[:, None], (1, d)))
+        with pytest.raises(ShapeMismatch, match=f"has {d} assets, the "
+                           "weights 1$"):
+            evaluate(wider, w, np.zeros(252))
     # a non-finite benchmark day cannot be beaten or lost
     for bad in (np.nan, np.inf, -np.inf):
         bench = np.zeros(252)
