@@ -449,14 +449,20 @@ AIRQ_ASSUMPTION = ("hourly records are averaged to one value per site-day "
 
 
 def _airq_float(text, row, col):
+    """The cell's number; None when it is empty, or NA or NaN in any letter
+    case. Any other cell that is not a finite number is a ParseError."""
     text = text.strip()
-    if text in ("", "NA", "NaN", "nan"):
+    if text.lower() in ("", "na", "nan"):
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"non-numeric value {text!r} in column {col}",
                          row=row, col=col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {text!r} in column {col}",
+                         row=row, col=col)
+    return value
 
 
 def _csv_records(fh):
@@ -545,6 +551,9 @@ def average_aqr_values(y, z, h, families, taus):
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
+    if y.ndim != 1 or z.shape != y.shape:
+        raise ShapeMismatch("y and z must be vectors of equal length")
+    Dataset(y, z)  # its other rules: at least two rows, all finite
     ts = [_tau(t) for t in taus]
     h = _bandwidth(h)
     ys = _YSorted(y, z)

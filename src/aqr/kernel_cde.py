@@ -34,12 +34,16 @@ import numpy as np
 from .errors import (DomainError, EmptyGrid, KernelUnderflow, ShapeMismatch)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-# kernel cells (rows x n) per row block in cv_bandwidth, which holds a few
-# such arrays per block: the fastest size measured at n = 500 to 4000
+# kernel cells (rows x n) per row block in cv_bandwidth: 512 KiB per float
+# array, in one workspace per call. Of 1 << 14 ... 1 << 18, the fastest for
+# sim1's nine CV calls at n = 1000 (0.46, 0.42, 0.38, 0.42, 0.48 s)
 _CV_BLOCK_CELLS = 1 << 16
 # kernel cells (evaluation rows x n) per row block elsewhere: 128 KiB per
-# float array, which stays in cache and below malloc's default mmap
-# threshold, so temporaries are not page-faulted in afresh on every block
+# float array, which stays in cache. That is glibc's default mmap threshold,
+# not below it, but the first such array freed raises the threshold past it
+# and the trim threshold to twice that, so the few temporaries a block holds
+# come back from the heap rather than being page-faulted in afresh (five
+# held at once would be)
 _BLOCK_CELLS = 1 << 14
 # per row still to score, times n (n + 4): what rounding can take off a CV
 # running total before it completes (derived in cv_bandwidth)
@@ -188,9 +192,9 @@ class _YSorted:
             size = max(1, _BLOCK_CELLS // (depth * self.zs.size))
         return [idx[s:s + size] for s in range(0, idx.size, size)]
 
-    def diff(self, rows):
+    def diff(self, rows, out=None):
         """z_l - z_i for the rows i against the sorted rows l."""
-        return self.zs[None, :] - self.z[rows, None]
+        return np.subtract(self.zs[None, :], self.z[rows, None], out=out)
 
     def kernel(self, rows, h):
         """u = (z_l - z_i)/h for the rows i against the sorted rows l, and
@@ -325,6 +329,9 @@ def rule_bandwidth(values, rate_exponent=0.2):
 
 def default_bandwidth_grid(values, size=12):
     """Log-spaced grid spanning [c/2, 2c] around the rule-of-thumb c."""
+    if size < 1:
+        raise DomainError(f"a bandwidth grid needs at least one entry, "
+                          f"got size {size}")
     c = rule_bandwidth(values)
     return [_bandwidth(h) for h in np.geomspace(0.5 * c, 2.0 * c, size)]
 
@@ -351,15 +358,21 @@ def _cv_scores(data, grid):
     nearest = nearest[ys.order]
 
     totals = np.full(len(grid), math.nan)
+    # one workspace per call, sized to the largest block (see cv_bandwidth),
+    # in one allocation rather than two: freed, it lifts glibc's dynamic mmap
+    # and trim thresholds far enough that the row blocks of the calls that
+    # follow (airquality's average estimates) do not page-fault either
+    rows = min(n, max(1, _CV_BLOCK_CELLS // n))
+    sq_buf, w_buf = np.empty((2, rows, n))
 
     def add(pos, members):
         """Add the block of sorted rows pos to the running totals of the
         grid entries `members`, which share its squared distances."""
-        sq = np.square(ys.diff(ys.order[pos]))
+        sq, w = sq_buf[:pos.size], w_buf[:pos.size]
+        np.square(ys.diff(ys.order[pos], out=sq), out=sq)
         # leave one out: a row's own weight is exp(-inf) = 0
         sq[np.arange(pos.size), pos] = math.inf
         sq -= nearest[pos, None]
-        w = np.empty_like(sq)
         # I(y_i <= y_j) is 0 for runs j < first and 1 for runs j >= last
         first, last = ys.run[pos[0]], ys.run[pos[-1]]
         band = (pos[:, None] <= ys.ends[None, first:last]) * count[first:last]
@@ -384,7 +397,7 @@ def _cv_scores(data, grid):
     if not live:
         return totals
     totals[live] = 0.0
-    blocks = ys.blocks(np.arange(n), max(1, _CV_BLOCK_CELLS // n))
+    blocks = ys.blocks(np.arange(n), rows)
     add(blocks[0], live)
     lead = min(live, key=lambda g: (totals[g], grid[g]))
     for pos in blocks[1:]:
@@ -430,7 +443,10 @@ def cv_bandwidth(data, *, grid=None):
     each bandwidth costs one scaled exp, one cumulative sum and the
     reductions for A_i and B_i. A row's weights vanish when its largest,
     _phi(d_i / h) / h at the nearest distance d_i, does; that is known
-    before any block is scored. Memory is O(block * n).
+    before any block is scored. Memory is O(block * n), in one workspace
+    per call that every block reuses: fresh block arrays sit above glibc's
+    mmap and trim thresholds, so each block would hand them back to the
+    system and page-fault them in again.
 
     A bandwidth stops once it cannot win. Every row's loss is a sum of
     squares, so a running total over the blocks only grows. The first block

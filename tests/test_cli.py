@@ -934,8 +934,15 @@ AIR_ROW = b"north,2016,12,1,6,40.0,-1.5,1020.0,-9.0,2.1\n"
     ("airquality", "air.csv", AIR_HEADER.replace(b"year,", b"")
      + AIR_ROW.replace(b"2016,", b""),
      "parse error: missing date column year", 1),
+    ("airquality", "air.csv", AIR_HEADER + AIR_ROW
+     + AIR_ROW.replace(b"40.0", b"inf"),
+     "parse error: non-finite value 'inf' in column PM2.5", 3),
+    ("airquality", "air.csv", AIR_HEADER + AIR_ROW + AIR_ROW
+     + AIR_ROW.replace(b"-1.5", b"-Infinity"),
+     "parse error: non-finite value '-Infinity' in column TEMP", 4),
 ], ids=["csv-bytes", "csv-field-limit", "config-bytes", "airquality-year",
-        "airquality-bytes", "airquality-short-row", "airquality-no-year"])
+        "airquality-bytes", "airquality-short-row", "airquality-no-year",
+        "airquality-inf", "airquality-minus-infinity"])
 def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys,
                                                     command, name, data,
                                                     message, row):

@@ -1,5 +1,7 @@
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aqr.errors import DomainError, ParseError
+from aqr.errors import DomainError, ParseError, ShapeMismatch
 from aqr.estimator import aqr_conditional
 from aqr.experiments import (AIRQ_TAUS, SIM1_ERRORS, SIM1_TAUS,
                              SIX_DISTRIBUTIONS, average_aqr_values,
@@ -350,6 +352,19 @@ def test_average_aqr_values_memory_is_bounded_by_row_blocks():
         assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("y, z, error", [
+    ([0.0, math.nan, 1.0], [0.0, 1.0, 2.0], DomainError),
+    ([0.0, 1.0, 2.0], [0.0, math.inf, 2.0], DomainError),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0], ShapeMismatch),
+    ([0.0, 1.0], [0.0, 1.0, 2.0], ShapeMismatch),
+    ([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0, 2.0, 3.0], ShapeMismatch),
+    ([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]], ShapeMismatch),
+], ids=["nan-y", "inf-z", "short-z", "long-z", "matrix-y", "column-z"])
+def test_average_aqr_values_checks_its_rows_like_a_dataset(y, z, error):
+    with pytest.raises(error):
+        average_aqr_values(np.array(y), np.array(z), 0.3, [es()], [0.5])
+
+
 AIRQ_HEADER = ("station,year,month,day,hour,PM2.5,TEMP,PRES,DEWP,WSPM\n")
 
 
@@ -430,6 +445,31 @@ def test_load_airquality_skips_blank_lines_and_rows_with_gaps(tmp_path):
                     + "B,2017,1,4,7,1,2,3,4\n")
     y, X, shard_of, sites = load_airquality(path)
     assert y.tolist() == [5.0, 7.0] and sites == ["A", "B"]
+
+
+@pytest.mark.parametrize("token", ["NA", "na", "Na", "NaN", "nan", "NAN",
+                                   "nAn", " NAN "])
+def test_load_airquality_reads_na_and_nan_in_any_case_as_missing(tmp_path,
+                                                                 token):
+    path = tmp_path / "daily.csv"
+    path.write_text(DAILY_HEADER + "A,2016,12,1,5,1,2,3,4\n"
+                    + f"A,2016,12,2,{token},1,2,3,4\n"
+                    + f"A,2016,12,3,6,1,{token},3,4\n"
+                    + "B,2017,1,4,7,1,2,3,4\n")
+    y, X, shard_of, sites = load_airquality(path)
+    assert y.tolist() == [5.0, 7.0] and sites == ["A", "B"]
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "-Infinity",
+                                   "+INF", "-nan", "+NaN"])
+def test_load_airquality_rejects_a_non_finite_cell(tmp_path, token):
+    path = tmp_path / "daily.csv"
+    path.write_text(DAILY_HEADER + "A,2016,12,1,5,1,2,3,4\n"
+                    + f"A,2016,12,2,6,1,2,{token},4\n")
+    message = f"^non-finite value '{re.escape(token)}' in column DEWP$"
+    with pytest.raises(ParseError, match=message) as err:
+        load_airquality(path)
+    assert err.value.row == 3 and err.value.col == "DEWP"
 
 
 @pytest.mark.parametrize("header, winter, missing", [
