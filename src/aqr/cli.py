@@ -4,13 +4,16 @@ COMMANDS states each command once: its help, its input files, its config
 schema (each key's default is a JSON Schema `default` on the key) and its
 handler; the parser, SCHEMAS and DEFAULTS are read off it. Every command
 resolves its config (defaults, then the --config file, then the --seed
-flag) and checks it against its schema and the rules the engines own before
-any input is read, runs one of the engines in experiments.py, and writes
-its tables as CSV plus a JSON run record carrying the command name, seed,
-config hash and package version. Outputs contain no timestamps, so a rerun
-with the same config and seed is byte-identical. Exit codes: 0 success,
-1 a validation or analysis failure, 2 a usage, config or I/O error. A
-failure prints one line to stderr.
+flag, which only the commands with a seed take) and checks it against its
+schema and the rules the engines own before any input is read, then runs
+one of the engines in experiments.py. Its handler writes no file: it
+returns its outputs by name, and one writer, _write_outputs, puts them on
+disk (tables as CSV, dicts as JSON) with a JSON run record carrying the
+command name, seed, config hash, package version and the list of those
+outputs. Outputs contain no timestamps, so a rerun with the same config
+and seed is byte-identical. Exit codes: 0 success, 1 a validation or
+analysis failure, 2 a usage, config or I/O error. A failure prints one line
+to stderr.
 """
 
 import argparse
@@ -186,7 +189,7 @@ def _resolve_config(args):
                 config.pop(other, None)
     if command.preset_reps and "reps" not in config:
         config["reps"] = command.preset_reps[config["preset"]]
-    if args.seed is not None and "seed" in config:
+    if getattr(args, "seed", None) is not None:  # seeded commands only
         config.update(_checked(schema, {"seed": args.seed}))
     if "family" in config:
         args.family = WeightFamily.from_json(config["family"])
@@ -225,13 +228,15 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_records(path, columns, records):
-    """One CSV row per record dict, its values in the order of columns."""
-    _write_csv(path, columns, ([r[c] for c in columns] for r in records))
+def _records(columns, records):
+    """A CSV table of one row per record dict, its values in the order of
+    columns."""
+    return columns, [[r[c] for c in columns] for r in records]
 
 
-def _write_run(args, config, report, outputs):
-    """Write <command>_run.json and return its name."""
+def _write_outputs(args, config, report, files):
+    """Write each output file, a dict as JSON and a (header, rows) pair as
+    CSV, then the run record <command>_run.json; return the record's name."""
     blob = json.dumps(config, sort_keys=True, default=_json_default)
     record = {
         "command": args.command,
@@ -239,11 +244,16 @@ def _write_run(args, config, report, outputs):
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "seed": config.get("seed"),
         "version": __version__,
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
         "report": report,
     }
     name = f"{args.command.replace('-', '_')}_run.json"
-    _write_json(os.path.join(args.out, name), record)
+    for file, content in [*files.items(), (name, record)]:
+        path = os.path.join(args.out, file)
+        if isinstance(content, dict):
+            _write_json(path, content)
+        else:
+            _write_csv(path, *content)
     return name
 
 
@@ -259,8 +269,9 @@ def _read_numeric_csv(path, column=False):
     A matrix file (column=False) starts with a header row, and every data
     row has as many fields. A column file has one value per line; its first
     line is its header when it is not a number, and the header is [] when
-    there is none. Blank lines are skipped, a cell is a number when float()
-    takes it (quoted cells too), and "#" starts no comment.
+    there is none. One byte-order mark (U+FEFF) at the start of the file is
+    dropped. Blank lines are skipped, a cell is a number when float() takes
+    it (quoted cells too), and "#" starts no comment.
 
     np.loadtxt parses the file when it can. When it cannot, the per-cell
     loop reads the file again and returns the same array, or raises the
@@ -281,7 +292,8 @@ def _read_numeric_csv(path, column=False):
     table = None
     if rest.lstrip(b"\r\n") and not any(c in rest for c in _LOADTXT_SPACE):
         try:
-            first = next(csv.reader([head.decode(encoding)], strict=True))
+            first = next(csv.reader([head.decode(encoding).removeprefix(
+                "\ufeff")], strict=True))
             width = 1 if column else len(first)
             table = np.loadtxt(io.BytesIO(rest), delimiter=",", comments=None,
                                ndmin=2, dtype=float, encoding=encoding)
@@ -332,52 +344,46 @@ def _read_numeric_csv(path, column=False):
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit_code, report, extra output names)
+# command handlers; each returns (exit code, report, {file name: content})
 
 def _cmd_validate(args, config):
     report = ex.run_validate(violators=config["violators"])
-    return (0 if report["all_passed"] else 1), report, []
+    return (0 if report["all_passed"] else 1), report, {}
 
 
 def _cmd_compare(args, config):
     out = ex.run_compare(taus=config["taus"])
-    name = "compare.csv"
-    _write_records(os.path.join(args.out, name),
-                   ["distribution", "domain", "family", "tau", "value",
-                    "quantile", "limit_ratio"], out["rows"])
+    table = _records(["distribution", "domain", "family", "tau", "value",
+                      "quantile", "limit_ratio"], out["rows"])
     report = {"rows": len(out["rows"]), "violations": out["violations"]}
-    return (0 if not out["violations"] else 1), report, [name]
+    return (0 if not out["violations"] else 1), report, {"compare.csv": table}
 
 
 def _cmd_sim1(args, config):
     out = ex.run_sim1(master_seed=config["seed"], reps=config["reps"],
                       n=config["n"], taus=config["taus"],
                       threads=args.threads)
-    name = "sim1.csv"
-    _write_records(os.path.join(args.out, name),
-                   ["error", "family", "tau", "x0", "truth", "mean_rpad",
-                    "sd_rpad"], out["cells"])
+    table = _records(["error", "family", "tau", "x0", "truth", "mean_rpad",
+                      "sd_rpad"], out["cells"])
     report = {"n": out["n"], "reps": out["reps"],
               "worst_mean_rpad": max(c["mean_rpad"] for c in out["cells"])}
-    return 0, report, [name]
+    return 0, report, {"sim1.csv": table}
 
 
 def _cmd_sim2(args, config):
     out = ex.run_sim2(master_seed=config["seed"], reps=config["reps"],
                       n=config["n"], K=config["K"], taus=config["taus"],
                       threads=args.threads)
-    aae_name, rpad_name = "sim2_aae.csv", "sim2_rpad.csv"
-    _write_csv(os.path.join(args.out, aae_name),
-               ["method", "mean_aae", "sd_aae"],
-               [[m, out["aae"][m]["mean"], out["aae"][m]["sd"]]
-                for m in ("all", "de", "pilot")])
-    _write_records(os.path.join(args.out, rpad_name),
-                   ["family", "tau", "method", "truth", "mean_rpad",
-                    "sd_rpad"], out["rpad"])
+    files = {
+        "sim2_aae.csv": (["method", "mean_aae", "sd_aae"],
+                         [[m, out["aae"][m]["mean"], out["aae"][m]["sd"]]
+                          for m in ("all", "de", "pilot")]),
+        "sim2_rpad.csv": _records(["family", "tau", "method", "truth",
+                                   "mean_rpad", "sd_rpad"], out["rpad"])}
     report = {k: out[k] for k in ("n", "K", "reps", "aae", "rounds")}
     if "k1_newton_path_gap" in out:
         report["k1_newton_path_gap"] = out["k1_newton_path_gap"]
-    return 0, report, [aae_name, rpad_name]
+    return 0, report, files
 
 
 def _cmd_portfolio(args, config):
@@ -391,10 +397,8 @@ def _cmd_portfolio(args, config):
                               starts=config["starts"],
                               iterations=config["iterations"],
                               seed=config["seed"], mode=config["mode"])
-    name = "portfolio.json"
-    _write_json(os.path.join(args.out, name),
-                {k: report[k] for k in ("alpha", "risk", "SR", "PD")})
-    return 0, report, [name]
+    return 0, report, {"portfolio.json": {
+        k: report[k] for k in ("alpha", "risk", "SR", "PD")}}
 
 
 def _cmd_airquality(args, config):
@@ -402,13 +406,10 @@ def _cmd_airquality(args, config):
                                                winter=config["winter"])
     report = ex.run_airquality(y, X, shard_of, sites, taus=config["taus"])
     header = ["family"] + [f"tau_{t:g}" for t in report["taus"]]
-    names = []
-    for tag in ("full", "distributed", "deviation"):
-        name = f"airquality_{tag}.csv"
-        _write_csv(os.path.join(args.out, name), header,
-                   [[row["family"]] + row["values"] for row in report[tag]])
-        names.append(name)
-    return 0, report, names
+    return 0, report, {
+        f"airquality_{tag}.csv": (header, [[row["family"]] + row["values"]
+                                           for row in report[tag]])
+        for tag in ("full", "distributed", "deviation")}
 
 
 def _load_xy_csv(path):
@@ -424,9 +425,7 @@ def _cmd_fit(args, config):
     model = ex.fit_pooled(data, config.get("rate_exponent"),
                           config.get("bandwidth"))
     report = dict(model.to_json(), covariates=header[1:], response=header[0])
-    name = "fit.json"
-    _write_json(os.path.join(args.out, name), report)
-    return 0, report, [name]
+    return 0, report, {"fit.json": report}
 
 
 def _cmd_dist_fit(args, config):
@@ -440,9 +439,7 @@ def _cmd_dist_fit(args, config):
     report.update({"h1": h1, "K": plan.K, "sizes": list(plan.sizes),
                    "rounds": len(comm.rounds), "comm": comm.to_json(),
                    "covariates": header[1:], "response": header[0]})
-    name = "dist_fit.json"
-    _write_json(os.path.join(args.out, name), report)
-    return 0, report, [name]
+    return 0, report, {"dist_fit.json": report}
 
 
 def _cmd_risk(args, config):
@@ -453,16 +450,14 @@ def _cmd_risk(args, config):
     report = {"risk": omega(config["tau"]) * value, "value": value,
               "n": len(table), "family": args.family.label(),
               "tau": config["tau"], "mode": config["mode"]}
-    name = "risk.json"
-    _write_json(os.path.join(args.out, name), report)
-    return 0, report, [name]
+    return 0, report, {"risk.json": report}
 
 
 class Command(NamedTuple):
     """One subcommand: its help, its positional input files as (name, help)
     pairs, its config schema (each key's default is the `default` of the
     key's property), and its handler, which returns (exit code, report,
-    names of the files it wrote besides the run record)."""
+    {file name: content}) and writes nothing; main writes the files."""
     help: str
     inputs: list
     schema: dict
@@ -569,8 +564,9 @@ def build_parser():
         q = sub.add_parser(name, help=command.help)
         q.add_argument("--config", metavar="PATH",
                        help="JSON config file (schema-checked)")
-        q.add_argument("--seed", metavar="U64", type=int,
-                       help="override the config seed")
+        if "seed" in command.schema["properties"]:
+            q.add_argument("--seed", metavar="U64", type=int,
+                           help="override the config seed")
         q.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (must exist)")
         q.add_argument("--threads", metavar="N", type=_thread_count,
@@ -590,8 +586,8 @@ def main(argv=None):
         print(f"aqr {args.command}: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        code, report, outputs = COMMANDS[args.command].run(args, config)
-        record = _write_run(args, config, report, outputs)
+        code, report, files = COMMANDS[args.command].run(args, config)
+        record = _write_outputs(args, config, report, files)
     except ParseError as exc:
         where = f" (row {exc.row}" + (f", col {exc.col})" if exc.col
                                       else ")")

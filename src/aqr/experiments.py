@@ -465,9 +465,19 @@ def _airq_float(text, row, col):
     return value
 
 
+def _lines(fh):
+    """The lines of the text file `fh`, less one leading byte-order mark,
+    which spreadsheets write at the start of a UTF-8 CSV file."""
+    first = fh.readline()
+    if first:
+        yield first.removeprefix("\ufeff")
+        yield from fh
+
+
 def _csv_records(fh):
-    """csv.reader over the text file `fh`; its failures raise ParseError."""
-    reader = csv.reader(fh)
+    """csv.reader over the text file `fh`, less one leading byte-order
+    mark; its failures raise ParseError."""
+    reader = csv.reader(_lines(fh))
     try:
         yield from reader
     except csv.Error as exc:

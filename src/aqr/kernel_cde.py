@@ -328,10 +328,11 @@ def rule_bandwidth(values, rate_exponent=0.2):
 
 
 def default_bandwidth_grid(values, size=12):
-    """Log-spaced grid spanning [c/2, 2c] around the rule-of-thumb c."""
-    if size < 1:
+    """Log-spaced grid spanning [c/2, 2c] around the rule-of-thumb c; its
+    size is an int (not a bool) of at least 1."""
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise DomainError(f"a bandwidth grid needs at least one entry, "
-                          f"got size {size}")
+                          f"counted by an int; got size {size!r}")
     c = rule_bandwidth(values)
     return [_bandwidth(h) for h in np.geomspace(0.5 * c, 2.0 * c, size)]
 

@@ -21,7 +21,7 @@ from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _checked, _object,
                      config_schema, main)
 from aqr.errors import ParseError
 from aqr.families import KINDS, SCHEDULES
-from aqr.experiments import fit_pooled
+from aqr.experiments import fit_pooled, load_airquality
 from aqr.kernel_cde import Dataset
 from aqr.single_index import fit_full, normalize_beta
 
@@ -320,6 +320,22 @@ def test_negative_seed_flag_exits_2_before_any_input(tmp_path, capsys,
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "config error: seed:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+SEEDLESS = [name for name, schema in SCHEMAS.items()
+            if "seed" not in schema["properties"]]
+
+
+def test_seedless_commands_take_no_seed_flag(tmp_path, capsys):
+    assert SEEDLESS == ["validate", "compare", "airquality", "fit", "risk"]
+    for command in SEEDLESS:
+        inputs = [str(tmp_path / f"{dest}.csv")
+                  for dest, _ in COMMANDS[command].inputs]
+        with pytest.raises(SystemExit) as caught:
+            main([command, *inputs, "--seed", "1", "--out", str(tmp_path)])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -744,6 +760,55 @@ def test_risk_roundtrip(tmp_path):
     # the lower-tail sign convention flips the average into a loss figure
     assert out["risk"] == -out["value"]
     assert out["risk"] > 0
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("text, column", [
+    ("y,x\n1,2\n3,4\n", False),
+    ('y,x\n"1",2\n3,4\n', False),
+    ("0.5\n1\n2\n", True),
+    ('0.5\n"1"\n2\n', True),
+    ("r\n1\n2\n", True),
+], ids=["matrix", "matrix-loop", "column", "column-loop", "column-header"])
+def test_reader_drops_a_leading_byte_order_mark(tmp_path, text, column):
+    # a quoted data cell sends the file to the per-cell loop
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    header, table = _read_numeric_csv(marked, column)
+    expect_header, expect = _read_numeric_csv(plain, column)
+    assert header == expect_header
+    assert np.array_equal(table, expect)
+
+
+def test_risk_counts_the_first_value_after_a_byte_order_mark(tmp_path):
+    values = np.random.default_rng(3).normal(0.0, 0.02, 100)
+    path = tmp_path / "r.csv"
+    path.write_bytes(BOM + "".join(f"{float(v)!r}\n"
+                                   for v in values).encode())
+    assert main(["risk", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "risk.json").read_text())["n"] == 100
+
+
+def test_fit_names_the_response_after_a_byte_order_mark(tmp_path):
+    path = pathlib.Path(write_xy_csv(tmp_path / "xy.csv"))
+    path.write_bytes(BOM + path.read_bytes())
+    assert main(["fit", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fit.json").read_text())
+    assert report["response"] == "y"
+    assert report["covariates"] == ["x1", "x2"]
+
+
+def test_airquality_table_after_a_byte_order_mark_keeps_its_sites(tmp_path):
+    plain = pathlib.Path(write_air_csv(tmp_path / "air.csv"))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(BOM + plain.read_bytes())
+    y, X, shard_of, sites = load_airquality(marked)
+    assert list(sites) == ["north", "south"]
+    for got, expect in zip((y, X, shard_of), load_airquality(plain)):
+        assert np.array_equal(got, expect)
 
 
 def write_portfolio_csvs(tmp_path):

@@ -117,10 +117,11 @@ def test_bandwidths_come_back_as_floats():
     assert type(fit_sharded(_SHARDED)[3]) is float
 
 
-@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("size", [0, -1, 2.5, math.nan, 3.0, "3", True])
 def test_default_bandwidth_grid_needs_at_least_one_entry(size):
-    with pytest.raises(DomainError, match="at least one entry"):
+    with pytest.raises(DomainError, match="at least one entry") as caught:
         default_bandwidth_grid(_X2[:, 0], size=size)
+    assert str(caught.value).endswith(f"got size {size!r}")
     assert len(default_bandwidth_grid(_X2[:, 0], size=1)) == 1
 
 

@@ -21,11 +21,15 @@ record that has to agree with them. cli.py states each command once, in
 its COMMANDS table, and builds the config's weight family only while
 resolving the config, so a bad family exits as a config error before any
 input is read: the parser makes every subparser in one loop over the
-table, and no handler calls WeightFamily.from_json. scipy is imported only
-inside the functions that call it, so that `import aqr` and the commands
-that never integrate or invert a distribution do not pay its import: no
-module imports it at module level. cli.py checks configs against its
-schemas itself, so no module imports jsonschema, and `import aqr, aqr.cli`
+table, and no handler calls WeightFamily.from_json. Its handlers compute
+and return their output files by name, and one writer, _write_outputs,
+puts them and the run record on disk, so the record's list of outputs is
+the set of files written: in cli.py only _write_outputs calls _write_json
+or _write_csv, and only those two open a file with a mode. scipy is
+imported only inside the functions that call it, so that `import aqr` and
+the commands that never integrate or invert a distribution do not pay its
+import: no module imports it at module level. cli.py checks configs
+against its schemas itself, so no module imports jsonschema, and `import aqr, aqr.cli`
 loads neither package. Each Newton iterate of
 single_index.fit_full takes its gradient and Hessian from one walk over the
 row blocks, _derivatives: fit_full calls neither psis_gradient nor
@@ -141,6 +145,24 @@ def test_cli_states_each_command_once_in_its_table():
     assert from_json
     assert [f"cli.py:{line} from_json" for line in from_json
             if not resolve.lineno <= line <= resolve.end_lineno] == []
+
+
+def test_cli_writes_files_only_in_its_one_writer():
+    path = Path(aqr.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    callers = {f"{_enclosing(functions, line)} {name}"
+               for name, line in _called_names(path)
+               if name in ("_write_json", "_write_csv")}
+    assert callers == {"_write_outputs _write_json",
+                       "_write_outputs _write_csv"}
+    openers = {_enclosing(functions, node.lineno)
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "open"
+               and (len(node.args) > 1
+                    or any(k.arg == "mode" for k in node.keywords))}
+    assert openers == {"_write_json", "_write_csv"}
 
 
 @pytest.mark.parametrize("module", ["distributed.py", "experiments.py"])
