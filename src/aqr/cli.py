@@ -23,6 +23,7 @@ import io
 import json
 import operator
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -177,9 +178,9 @@ def _resolve_config(args):
     schema = command.schema
     config = dict(DEFAULTS[args.command])
     if args.config:
-        with open(args.config) as fh:
-            user = _checked(schema, json.load(
-                fh, parse_constant=_refuse_constant))
+        raw, encoding = ex._read_input(args.config)
+        user = _checked(schema, json.loads(raw.decode(encoding),
+                                           parse_constant=_refuse_constant))
         config.update(user)
         # of an exclusive pair (sizes or K, bandwidth or rate_exponent), the
         # key the file sets drops the other's default
@@ -261,6 +262,7 @@ def _write_outputs(args, config, report, files):
 # CSV reader
 
 _LOADTXT_SPACE = b"\x1c\x1d\x1e\x1f"
+_DATA_BYTE = re.compile(rb"[^\r\n]")
 
 
 def _read_numeric_csv(path, column=False):
@@ -273,13 +275,13 @@ def _read_numeric_csv(path, column=False):
     dropped. Blank lines are skipped, a cell is a number when float() takes
     it (quoted cells too), and "#" starts no comment.
 
-    np.loadtxt parses the file when it can. When it cannot, the per-cell
-    loop reads the file again and returns the same array, or raises the
-    ParseError that names the bad row and column.
+    The file is read once. np.loadtxt parses its bytes when it can. When
+    it cannot, the per-cell loop reads the same bytes and returns the same
+    array, or raises the ParseError that names the bad row and column.
     """
-    with open(path, newline="") as fh:
-        encoding, head, rest = (fh.encoding, fh.buffer.readline(),
-                                fh.buffer.read())
+    raw, encoding = ex._read_input(path)
+    stream = io.BytesIO(raw)
+    head = stream.readline()
     # loadtxt parses the bytes after the first line and decodes each line
     # with the file's encoding. It is skipped, or raises, wherever its
     # reading could differ from the loop's:
@@ -290,12 +292,12 @@ def _read_numeric_csv(path, column=False):
     # - a quote in a data line fails its number parse, and strict csv raises
     #   on a first record that runs past its line.
     table = None
-    if rest.lstrip(b"\r\n") and not any(c in rest for c in _LOADTXT_SPACE):
+    if (_DATA_BYTE.search(raw, len(head))
+            and not any(raw.find(c, len(head)) >= 0 for c in _LOADTXT_SPACE)):
         try:
-            first = next(csv.reader([head.decode(encoding).removeprefix(
-                "\ufeff")], strict=True))
+            first = next(csv.reader([head.decode(encoding)], strict=True))
             width = 1 if column else len(first)
-            table = np.loadtxt(io.BytesIO(rest), delimiter=",", comments=None,
+            table = np.loadtxt(stream, delimiter=",", comments=None,
                                ndmin=2, dtype=float, encoding=encoding)
         except (csv.Error, ValueError):
             pass
@@ -307,37 +309,35 @@ def _read_numeric_csv(path, column=False):
         except ValueError:
             return first, table
 
-    with open(path, newline="") as fh:
-        reader = ex._csv_records(fh)
-        if column:
-            header, width, start = [], 1, 1
-        else:
+    reader = ex._csv_records(raw, encoding)
+    if column:
+        header, width, start = [], 1, 1
+    else:
+        try:
+            header = [c.strip() for c in next(reader)]
+        except StopIteration:
+            raise ParseError("empty CSV", row=1) from None
+        width, start = len(header), 2
+    rows = []
+    for i, rec in enumerate(reader, start=start):
+        if not rec:
+            continue
+        if len(rec) != width:
+            raise ParseError(f"expected {width} field"
+                             f"{'' if column else 's'}, got {len(rec)}",
+                             row=i)
+        vals = []
+        for j, cell in enumerate(rec, start=1):
             try:
-                header = [c.strip() for c in next(reader)]
-            except StopIteration:
-                raise ParseError("empty CSV", row=1) from None
-            width, start = len(header), 2
-        rows = []
-        for i, rec in enumerate(reader, start=start):
-            if not rec:
-                continue
-            if len(rec) != width:
-                raise ParseError(f"expected {width} field"
-                                 f"{'' if column else 's'}, got {len(rec)}",
-                                 row=i)
-            vals = []
-            for j, cell in enumerate(rec, start=1):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    if not (column and i == 1):
-                        raise ParseError(f"non-numeric value "
-                                         f"{cell.strip()!r}",
-                                         row=i, col=j) from None
-                    header = rec
-                    break
-            else:
-                rows.append(vals)
+                vals.append(float(cell))
+            except ValueError:
+                if not (column and i == 1):
+                    raise ParseError(f"non-numeric value {cell.strip()!r}",
+                                     row=i, col=j) from None
+                header = rec
+                break
+        else:
+            rows.append(vals)
     if not rows:
         raise ParseError("no data rows", row=start)
     return header, np.array(rows)

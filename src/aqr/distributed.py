@@ -50,6 +50,10 @@ class ShardPlan:
     sizes: tuple
 
     def __post_init__(self):
+        if any(isinstance(s, (bool, np.bool_)) or not float(s).is_integer()
+               for s in self.sizes):
+            raise DomainError(f"shard sizes must be whole numbers, got "
+                              f"{tuple(self.sizes)!r}")
         self.sizes = tuple(int(s) for s in self.sizes)
         if not self.sizes or min(self.sizes) < 2:
             raise DomainError("need one or more shards of two or more rows")

@@ -1,13 +1,14 @@
 """Deterministic experiment engines behind the command line tool.
 
 Every runner returns plain dicts and row lists ready for CSV/JSON dumping;
-argument parsing and file I/O live in the CLI, except that load_airquality
-reads its own table. Replication seeds are spawned from the master seed by
-counter, so a run is reproducible for any thread count, and reductions
-always happen in replication order.
+argument parsing and output files live in the CLI, and _read_input opens
+and reads every input file once, the CLI's included. Replication seeds are
+spawned from the master seed by counter, so a run is reproducible for any
+thread count, and reductions always happen in replication order.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -465,32 +466,33 @@ def _airq_float(text, row, col):
     return value
 
 
-def _lines(fh):
-    """The lines of the text file `fh`, less one leading byte-order mark,
-    which spreadsheets write at the start of a UTF-8 CSV file."""
-    first = fh.readline()
-    if first:
-        yield first.removeprefix("\ufeff")
-        yield from fh
+def _read_input(path):
+    """The bytes of the input file at `path` and the encoding of its text,
+    less one leading byte-order mark, which spreadsheets write at the start
+    of a UTF-8 CSV file. This is the one place the package opens a file to
+    read, and it reads the file once, so a pipe reads like a file."""
+    with open(path, newline="") as fh:
+        encoding, raw = fh.encoding, fh.buffer.read()
+    return raw.removeprefix("\ufeff".encode(encoding, "ignore")), encoding
 
 
-def _csv_records(fh):
-    """csv.reader over the text file `fh`, less one leading byte-order
-    mark; its failures raise ParseError."""
-    reader = csv.reader(_lines(fh))
+def _csv_records(raw, encoding):
+    """csv.reader over the text of the bytes `raw`; its failures raise
+    ParseError."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding,
+                                         newline=""))
     try:
         yield from reader
     except csv.Error as exc:
         raise ParseError(str(exc), row=reader.line_num) from None
     except UnicodeDecodeError as exc:
-        # the offset is into the decoder's chunk; find the one in the file
-        with open(fh.name, "rb") as raw:
-            try:
-                raw.read().decode(fh.encoding)
-            except UnicodeDecodeError as whole:
-                exc = whole
+        # the offset is into the decoder's chunk; find the one in the bytes
+        try:
+            raw.decode(encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise ParseError(
-            f"byte {exc.object[exc.start]:#04x} is not {fh.encoding} text",
+            f"byte {exc.object[exc.start]:#04x} is not {encoding} text",
             row=exc.object.count(b"\n", 0, exc.start) + 1) from None
 
 
@@ -501,41 +503,44 @@ def load_airquality(path, winter=True):
     day when `winter` is true or an `hour` column is present. With `hour`
     the rows are averaged per (station, year, month, day) after dropping
     hours with any missing field; `winter` keeps December through February
-    of the 2016/17 season. Blank lines are skipped; any other record must
-    have the header's field count. Returns (y, X, shard_of, site_names)
-    with shards indexed by sorted site name.
+    of the 2016/17 season. No header column may be given twice. Blank lines
+    are skipped; any other record must have the header's field count.
+    Returns (y, X, shard_of, site_names) with shards indexed by sorted site
+    name.
     """
     fields = (AIRQ_RESPONSE,) + AIRQ_COVARIATES
-    with open(path, newline="") as fh:
-        records = _csv_records(fh)
-        header = next(records, [])
-        for col in fields:
-            if col not in header:
-                raise ParseError(f"missing required column {col}",
-                                 row=1, col=col)
-        hourly = "hour" in header
-        missing = [c for c in AIRQ_DATE if c not in header]
-        if missing and (winter or hourly):
-            raise ParseError(f"missing date column {missing[0]}",
-                             row=1, col=missing[0])
-        dates = () if missing else AIRQ_DATE
-        groups = {}
-        for i, cells in enumerate(records, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got "
-                                 f"{len(cells)}", row=i)
-            rec = dict(zip(header, cells))
-            vals = [_airq_float(rec[col], i, col) for col in fields + dates]
-            if None in vals:
-                continue
-            date = tuple(vals[len(fields):])
-            if winter and date[:2] not in AIRQ_WINTER:
-                continue
-            site = (rec.get("station") or "").strip()
-            key = (site,) + date if hourly else (site, i)
-            groups.setdefault(key, []).append(vals[:len(fields)])
+    records = _csv_records(*_read_input(path))
+    header = next(records, [])
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise ParseError(f"column {repeated[0]} is given twice", row=1,
+                         col=repeated[0])
+    for col in fields:
+        if col not in header:
+            raise ParseError(f"missing required column {col}", row=1, col=col)
+    hourly = "hour" in header
+    missing = [c for c in AIRQ_DATE if c not in header]
+    if missing and (winter or hourly):
+        raise ParseError(f"missing date column {missing[0]}",
+                         row=1, col=missing[0])
+    dates = () if missing else AIRQ_DATE
+    groups = {}
+    for i, cells in enumerate(records, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got "
+                             f"{len(cells)}", row=i)
+        rec = dict(zip(header, cells))
+        vals = [_airq_float(rec[col], i, col) for col in fields + dates]
+        if None in vals:
+            continue
+        date = tuple(vals[len(fields):])
+        if winter and date[:2] not in AIRQ_WINTER:
+            continue
+        site = (rec.get("station") or "").strip()
+        key = (site,) + date if hourly else (site, i)
+        groups.setdefault(key, []).append(vals[:len(fields)])
     if not groups:
         raise ParseError("no usable rows after filtering", row=2, col=None)
     sites = sorted({key[0] for key in groups})

@@ -26,7 +26,7 @@ DEFAULT_ITERATIONS = 2000
 
 @dataclass
 class ReturnsMatrix:
-    """Daily log returns, one column per asset."""
+    """Daily log returns, one column per asset; no label names two."""
     R: np.ndarray
     labels: tuple = None
 
@@ -46,6 +46,11 @@ class ReturnsMatrix:
             self.labels = tuple(str(name) for name in self.labels)
             if len(self.labels) != self.d:
                 raise ShapeMismatch("need one label per asset")
+            repeated = [name for i, name in enumerate(self.labels)
+                        if name in self.labels[:i]]
+            if repeated:
+                raise DomainError(
+                    f"asset label {repeated[0]!r} is given twice")
 
     @property
     def days(self):

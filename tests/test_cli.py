@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -890,6 +891,22 @@ def test_portfolio_non_finite_benchmark_exits_1_with_one_line(tmp_path,
     assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
 
 
+def test_portfolio_repeated_asset_label_exits_1_and_writes_nothing(
+        tmp_path, capsys):
+    # portfolio.json keys the weights by label, so one would be lost
+    fit, test, bench = write_portfolio_csvs(tmp_path)
+    for path in (fit, test):
+        text = pathlib.Path(path).read_text()
+        pathlib.Path(path).write_text(text.replace("strong,weak",
+                                                   "strong,strong", 1))
+    cfg = write_json(tmp_path / "cfg.json", {"starts": 2, "iterations": 20})
+    assert main(["portfolio", fit, test, bench, "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "aqr portfolio: DomainError: asset label 'strong' is given twice\n")
+    assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, config, key, value", [
     ("portfolio", {"iterations": 5.0}, "iterations", 5),
     ("portfolio", {"seed": 1.0}, "seed", 1),
@@ -999,6 +1016,10 @@ AIR_ROW = b"north,2016,12,1,6,40.0,-1.5,1020.0,-9.0,2.1\n"
     ("airquality", "air.csv", AIR_HEADER.replace(b"year,", b"")
      + AIR_ROW.replace(b"2016,", b""),
      "parse error: missing date column year", 1),
+    # a dict of the record by column name would keep the later PM2.5
+    ("airquality", "air.csv", AIR_HEADER.replace(b"\n", b",PM2.5\n")
+     + AIR_ROW.replace(b"\n", b",999\n"),
+     "parse error: column PM2.5 is given twice (row 1, col PM2.5)", 1),
     ("airquality", "air.csv", AIR_HEADER + AIR_ROW
      + AIR_ROW.replace(b"40.0", b"inf"),
      "parse error: non-finite value 'inf' in column PM2.5", 3),
@@ -1007,7 +1028,8 @@ AIR_ROW = b"north,2016,12,1,6,40.0,-1.5,1020.0,-9.0,2.1\n"
      "parse error: non-finite value '-Infinity' in column TEMP", 4),
 ], ids=["csv-bytes", "csv-field-limit", "config-bytes", "airquality-year",
         "airquality-bytes", "airquality-short-row", "airquality-no-year",
-        "airquality-inf", "airquality-minus-infinity"])
+        "airquality-repeated-column", "airquality-inf",
+        "airquality-minus-infinity"])
 def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys,
                                                     command, name, data,
                                                     message, row):
@@ -1023,6 +1045,127 @@ def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys,
     if row is not None:
         assert f"(row {row}" in err
     assert not list(tmp_path.glob("*_run.json"))
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                reason="no FIFOs on this platform")
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    """make(data) makes a FIFO in tmp_path and returns its path. One
+    writer thread gives `data` to the first reader that opens it and an
+    empty stream to any later one, as a shell's `<(...)` pipe does when it
+    is opened again. The writer opens the FIFO without blocking and stops
+    at teardown, so a reader that never opens it cannot block the suite."""
+    stop = threading.Event()
+    threads = []
+
+    def make(data):
+        path = tmp_path / f"in{len(threads)}.fifo"
+        os.mkfifo(path)
+
+        def serve(payload=data):
+            while not stop.wait(0.005):
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+                except OSError:  # no reader has opened it yet
+                    continue
+                os.set_blocking(fd, True)
+                with contextlib.suppress(BrokenPipeError), \
+                        os.fdopen(fd, "wb") as fh:
+                    fh.write(payload)
+                payload = b""
+
+        threads.append(threading.Thread(target=serve, daemon=True))
+        threads[-1].start()
+        return str(path)
+
+    yield make
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=5)
+
+
+def run_on_file_and_fifo(tmp_path, fifo, capsys, argv, data):
+    """main(argv + [input]) on `data` written to a file, then read through
+    a FIFO; returns each run's (exit code, stderr, {output: bytes})."""
+    file = tmp_path / "in.dat"
+    file.write_bytes(data)
+    runs = []
+    for name, path in [("file", str(file)), ("fifo", fifo(data))]:
+        out = tmp_path / name
+        out.mkdir()
+        code = main([*argv, path, "--out", str(out)])
+        runs.append((code, capsys.readouterr().err,
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+    return runs
+
+
+@needs_fifo
+def test_risk_reads_a_quoted_cell_through_a_fifo(tmp_path, fifo, capsys):
+    # a quoted cell sends the column to the per-cell loop
+    data = ("r\n\"1.5\"\n" + "".join(f"{v}\n" for v in range(2, 101))).encode()
+    on_file, on_fifo = run_on_file_and_fifo(tmp_path, fifo, capsys, ["risk"],
+                                            data)
+    assert on_fifo == on_file
+    assert on_file[0] == 0
+    assert json.loads(on_file[2]["risk.json"])["n"] == 100
+
+
+@needs_fifo
+def test_fit_reads_a_loop_path_matrix_through_a_fifo(tmp_path, fifo,
+                                                      capsys):
+    path = pathlib.Path(write_xy_csv(tmp_path / "xy.csv"))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = '"{}",{},{}'.format(*lines[1].split(","))
+    on_file, on_fifo = run_on_file_and_fifo(
+        tmp_path, fifo, capsys, ["fit"], "".join(lines).encode())
+    assert on_fifo == on_file
+    assert on_file[0] == 0 and set(on_file[2]) == {"fit.json", "fit_run.json"}
+
+
+def _undecodable_at(lines, row):
+    """The lines as bytes, with byte 0xff in line `row` (1-based)."""
+    data = [line.encode() for line in lines]
+    data[row - 1] = data[row - 1].replace(b"1", b"\xff", 1)
+    return b"".join(data)
+
+
+@needs_fifo
+@pytest.mark.parametrize("command, data, row", [
+    ("risk", _undecodable_at(["r\n"] + [f"1.{i}\n" for i in range(4000)],
+                             3002), 3002),
+    ("airquality", _undecodable_at(
+        [AIR_HEADER.decode()] + [AIR_ROW.decode()] * 999, 419), 419),
+], ids=["risk", "airquality"])
+def test_fifo_names_the_row_of_a_byte_past_the_first_chunk(
+        tmp_path, fifo, capsys, command, data, row):
+    assert data.index(b"\xff") > 8192
+    on_file, on_fifo = run_on_file_and_fifo(tmp_path, fifo, capsys,
+                                            [command], data)
+    assert on_fifo == on_file
+    code, err, _ = on_file
+    assert code == 2
+    assert err.startswith(f"aqr {command}: parse error: byte 0xff is not")
+    assert err.endswith(f" text (row {row})\n")
+
+
+def test_config_with_a_byte_order_mark_runs_as_without_it(tmp_path):
+    values = tmp_path / "r.csv"
+    values.write_text("r\n" + "".join(f"{v / 7}\n" for v in range(60)))
+    outputs = []
+    for name, head in [("plain", b""), ("marked", BOM)]:
+        out = tmp_path / name
+        out.mkdir()
+        cfg = out / "cfg.json"
+        cfg.write_bytes(head + b'{"tau": 0.1, "family": {"kind": "ges"}}')
+        assert main(["risk", str(values), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "cfg.json"})
+    assert outputs[0] == outputs[1]
+    assert set(outputs[0]) == {"risk.json", "risk_run.json"}
 
 
 SCIPY_ON_FIRST_USE = """

@@ -25,10 +25,14 @@ table, and no handler calls WeightFamily.from_json. Its handlers compute
 and return their output files by name, and one writer, _write_outputs,
 puts them and the run record on disk, so the record's list of outputs is
 the set of files written: in cli.py only _write_outputs calls _write_json
-or _write_csv, and only those two open a file with a mode. scipy is
-imported only inside the functions that call it, so that `import aqr` and
-the commands that never integrate or invert a distribution do not pay its
-import: no module imports it at module level. cli.py checks configs
+or _write_csv, and only those two open a file with a mode. Every input
+file is opened and read once, by experiments._read_input, so a pipe reads
+like a file and one byte-order-mark rule covers every input: across
+src/aqr, open is called only there and in _write_json and _write_csv.
+scipy is imported only inside the functions that call it, so that
+`import aqr` and the commands that never integrate or invert a
+distribution do not pay its import: no module imports it at module level.
+cli.py checks configs
 against its schemas itself, so no module imports jsonschema, and `import aqr, aqr.cli`
 loads neither package. Each Newton iterate of
 single_index.fit_full takes its gradient and Hessian from one walk over the
@@ -163,6 +167,18 @@ def test_cli_writes_files_only_in_its_one_writer():
                and (len(node.args) > 1
                     or any(k.arg == "mode" for k in node.keywords))}
     assert openers == {"_write_json", "_write_csv"}
+
+
+def test_only_read_input_opens_a_file_to_read():
+    openers = []
+    for path in sorted(Path(aqr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        openers += [f"{path.name}:{_enclosing(functions, line)}"
+                    for name, line in _called_names(path) if name == "open"]
+    assert sorted(openers) == ["cli.py:_write_csv", "cli.py:_write_json",
+                               "experiments.py:_read_input"]
 
 
 @pytest.mark.parametrize("module", ["distributed.py", "experiments.py"])
