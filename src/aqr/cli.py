@@ -1,4 +1,4 @@
-"""Command line front end: config validation, CSV I/O, experiment dispatch.
+"""Command line front end: config checks, experiment dispatch, output files.
 
 COMMANDS states each command once: its help, its input files, its config
 schema (each key's default is a JSON Schema `default` on the key) and its
@@ -6,7 +6,8 @@ handler; the parser, SCHEMAS and DEFAULTS are read off it. Every command
 resolves its config (defaults, then the --config file, then the --seed
 flag, which only the commands with a seed take) and checks it against its
 schema and the rules the engines own before any input is read, then runs
-one of the engines in experiments.py. Its handler writes no file: it
+one of the engines in experiments.py, whose public readers read the config
+and every table: this module parses no table. A handler writes no file: it
 returns its outputs by name, and one writer, _write_outputs, puts them on
 disk (tables as CSV, dicts as JSON) with a JSON run record carrying the
 command name, seed, config hash, package version and the list of those
@@ -19,11 +20,9 @@ to stderr.
 import argparse
 import csv
 import hashlib
-import io
 import json
 import operator
 import os
-import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -33,7 +32,6 @@ from . import __version__
 from . import experiments as ex
 from .errors import AqrError, ParseError
 from .families import KINDS, SCHEDULES, WeightFamily, omega
-from .kernel_cde import Dataset
 from .distributed import ShardPlan, partition
 from .portfolio import DEFAULT_ITERATIONS, DEFAULT_STARTS, ReturnsMatrix
 from .sample_risk import aqr_sample
@@ -178,7 +176,7 @@ def _resolve_config(args):
     schema = command.schema
     config = dict(DEFAULTS[args.command])
     if args.config:
-        raw, encoding = ex._read_input(args.config)
+        raw, encoding = ex.read_input(args.config)
         user = _checked(schema, json.loads(raw.decode(encoding),
                                            parse_constant=_refuse_constant))
         config.update(user)
@@ -259,91 +257,6 @@ def _write_outputs(args, config, report, files):
 
 
 # ---------------------------------------------------------------------------
-# CSV reader
-
-_LOADTXT_SPACE = b"\x1c\x1d\x1e\x1f"
-_DATA_BYTE = re.compile(rb"[^\r\n]")
-
-
-def _read_numeric_csv(path, column=False):
-    """A numeric CSV file as (header, float array of rows by columns).
-
-    A matrix file (column=False) starts with a header row, and every data
-    row has as many fields. A column file has one value per line; its first
-    line is its header when it is not a number, and the header is [] when
-    there is none. One byte-order mark (U+FEFF) at the start of the file is
-    dropped. Blank lines are skipped, a cell is a number when float() takes
-    it (quoted cells too), and "#" starts no comment.
-
-    The file is read once. np.loadtxt parses its bytes when it can. When
-    it cannot, the per-cell loop reads the same bytes and returns the same
-    array, or raises the ParseError that names the bad row and column.
-    """
-    raw, encoding = ex._read_input(path)
-    stream = io.BytesIO(raw)
-    head = stream.readline()
-    # loadtxt parses the bytes after the first line and decodes each line
-    # with the file's encoding. It is skipped, or raises, wherever its
-    # reading could differ from the loop's:
-    # - it warns on an input without data lines;
-    # - it strips "\x1c" to "\x1f" around a number, and float() does not;
-    # - byte lines end only at b"\n", so a lone "\r" makes csv or loadtxt
-    #   raise;
-    # - a quote in a data line fails its number parse, and strict csv raises
-    #   on a first record that runs past its line.
-    table = None
-    if (_DATA_BYTE.search(raw, len(head))
-            and not any(raw.find(c, len(head)) >= 0 for c in _LOADTXT_SPACE)):
-        try:
-            first = next(csv.reader([head.decode(encoding)], strict=True))
-            width = 1 if column else len(first)
-            table = np.loadtxt(stream, delimiter=",", comments=None,
-                               ndmin=2, dtype=float, encoding=encoding)
-        except (csv.Error, ValueError):
-            pass
-    if table is not None and len(first) == width == table.shape[1]:
-        if not column:
-            return [c.strip() for c in first], table
-        try:
-            return [], np.concatenate(([[float(first[0])]], table))
-        except ValueError:
-            return first, table
-
-    reader = ex._csv_records(raw, encoding)
-    if column:
-        header, width, start = [], 1, 1
-    else:
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise ParseError("empty CSV", row=1) from None
-        width, start = len(header), 2
-    rows = []
-    for i, rec in enumerate(reader, start=start):
-        if not rec:
-            continue
-        if len(rec) != width:
-            raise ParseError(f"expected {width} field"
-                             f"{'' if column else 's'}, got {len(rec)}",
-                             row=i)
-        vals = []
-        for j, cell in enumerate(rec, start=1):
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                if not (column and i == 1):
-                    raise ParseError(f"non-numeric value {cell.strip()!r}",
-                                     row=i, col=j) from None
-                header = rec
-                break
-        else:
-            rows.append(vals)
-    if not rows:
-        raise ParseError("no data rows", row=start)
-    return header, np.array(rows)
-
-
-# ---------------------------------------------------------------------------
 # command handlers; each returns (exit code, report, {file name: content})
 
 def _cmd_validate(args, config):
@@ -387,11 +300,10 @@ def _cmd_sim2(args, config):
 
 
 def _cmd_portfolio(args, config):
-    header, table = _read_numeric_csv(args.fit_csv)
-    fit_returns = ReturnsMatrix(table, labels=header)
-    header, table = _read_numeric_csv(args.test_csv)
-    test_returns = ReturnsMatrix(table, labels=header)
-    _, bench = _read_numeric_csv(args.bench_csv, column=True)
+    fit_returns, test_returns = (
+        ReturnsMatrix(table, labels=header) for header, table in
+        map(ex.read_numeric_csv, (args.fit_csv, args.test_csv)))
+    _, bench = ex.read_numeric_csv(args.bench_csv, column=True)
     report = ex.run_portfolio(fit_returns, test_returns, bench[:, 0],
                               args.family, config["tau"],
                               starts=config["starts"],
@@ -412,16 +324,8 @@ def _cmd_airquality(args, config):
         for tag in ("full", "distributed", "deviation")}
 
 
-def _load_xy_csv(path):
-    header, table = _read_numeric_csv(path)
-    if table.shape[1] < 2:
-        raise ParseError("need a response column plus at least one covariate",
-                         row=1)
-    return header, Dataset(table[:, 0], table[:, 1:])
-
-
 def _cmd_fit(args, config):
-    header, data = _load_xy_csv(args.data_csv)
+    header, data = ex.read_xy_csv(args.data_csv)
     model = ex.fit_pooled(data, config.get("rate_exponent"),
                           config.get("bandwidth"))
     report = dict(model.to_json(), covariates=header[1:], response=header[0])
@@ -429,7 +333,7 @@ def _cmd_fit(args, config):
 
 
 def _cmd_dist_fit(args, config):
-    header, data = _load_xy_csv(args.data_csv)
+    header, data = ex.read_xy_csv(args.data_csv)
     sizes = config.get("sizes")
     plan = ShardPlan(sizes) if sizes else ShardPlan.even(data.n, config["K"])
     pdata = partition(data, plan, seed=config["seed"])
@@ -443,7 +347,7 @@ def _cmd_dist_fit(args, config):
 
 
 def _cmd_risk(args, config):
-    _, table = _read_numeric_csv(args.data_csv, column=True)
+    _, table = ex.read_numeric_csv(args.data_csv, column=True)
     # risk_sample is omega(tau) times aqr_sample; one call sorts once
     value = aqr_sample(table[:, 0], args.family, config["tau"],
                        mode=config["mode"])

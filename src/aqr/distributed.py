@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PlanMismatch, ShapeMismatch
+from .errors import DomainError, PlanMismatch, ShapeMismatch, _count
 from .kernel_cde import Dataset, _bandwidth
 from .single_index import (IndexModel, _gradient_parts, _newton_step,
                            _reduce_gradient, fit_full, normalize_beta,
@@ -50,18 +50,18 @@ class ShardPlan:
     sizes: tuple
 
     def __post_init__(self):
-        if any(isinstance(s, (bool, np.bool_)) or not float(s).is_integer()
-               for s in self.sizes):
-            raise DomainError(f"shard sizes must be whole numbers, got "
-                              f"{tuple(self.sizes)!r}")
-        self.sizes = tuple(int(s) for s in self.sizes)
-        if not self.sizes or min(self.sizes) < 2:
+        self.sizes = tuple(_count(s, 2, "shard sizes must be whole numbers "
+                                  "of at least 2, got") for s in self.sizes)
+        if not self.sizes:
             raise DomainError("need one or more shards of two or more rows")
 
     @classmethod
     def even(cls, n, K):
         """Even split of n rows: sizes differ by at most one, larger first."""
-        n, K = int(n), int(K)
+        n = _count(n, 2, "a row count must be a whole number of at least 2, "
+                   "got")
+        K = _count(K, 1, "a shard count must be a whole number of at least "
+                   "1, got")
         return cls(tuple(n // K + (k < n % K) for k in range(K)))
 
     @property
@@ -102,6 +102,8 @@ class CommReport:
 
 def partition(data, plan, seed):
     """Assign rows to shards by a seeded random permutation."""
+    seed = _count(seed, 0, "a partition seed must be a whole number of at "
+                  "least 0, got")
     if plan.n != data.n:
         raise PlanMismatch(
             f"plan covers {plan.n} rows but the data has {data.n}")
@@ -158,9 +160,14 @@ def newton_round(data, model, h1, comm):
 
 
 def default_rounds(n, n1, h1):
-    """Round count from the convergence condition, rounded up, floored at 1."""
+    """Round count from the convergence condition, rounded up, floored at 1.
+    The central shard holds n1 >= 2 of the n rows."""
+    n1 = _count(n1, 2, "the central shard's row count must be a whole number "
+                "of at least 2, got")
+    n = _count(n, n1, f"the row count must be a whole number of at least "
+               f"n1 = {n1}, got")
     inner = n1 * _bandwidth(h1) ** 5 / math.log(n1)
-    if inner <= 0.0:
+    if inner <= 0.0:  # h1 ** 5 underflows for h1 below about 1.6e-65
         return 1
     denom = math.log(inner)
     if denom == 0.0:
@@ -179,9 +186,8 @@ def run_distributed(data, rounds, h, h1, beta0):
     h1 = _bandwidth(h1)
     if rounds is None:
         rounds = default_rounds(data.n, sizes[0], h1)
-    rounds = int(rounds)
-    if rounds < 1:
-        raise DomainError("need at least one round")
+    rounds = _count(rounds, 1, "a run needs a whole number of rounds, at "
+                    "least 1, got")
     comm = CommReport(setup_scalars=(sizes.size - 1) * data.n)
     model = IndexModel(beta0, h)
     for _ in range(rounds):

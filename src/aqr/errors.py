@@ -1,4 +1,9 @@
-"""Typed exceptions shared across the package."""
+"""Typed exceptions shared across the package, and _count, the one rule
+for an argument that counts something: an int or a numpy integer, not a
+bool, of at least a minimum. Anything else is a DomainError where it
+enters, so no count such as 2.7 is rounded down or up."""
+
+import operator
 
 
 class AqrError(Exception):
@@ -80,3 +85,18 @@ class ParseError(AqrError):
         super().__init__(message)
         self.row = row
         self.col = col
+
+
+def _count(value, minimum, what):
+    """`value` as an int, when it is an int or a numpy integer (not a bool)
+    of at least `minimum`; otherwise DomainError, its message `what` and
+    then the value's repr."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= minimum:
+                return count
+    raise DomainError(f"{what} {value!r}")

@@ -1,21 +1,24 @@
-"""Deterministic experiment engines behind the command line tool.
+"""Deterministic experiment engines behind the command line tool, and the
+readers of every input file.
 
 Every runner returns plain dicts and row lists ready for CSV/JSON dumping;
-argument parsing and output files live in the CLI, and _read_input opens
-and reads every input file once, the CLI's included. Replication seeds are
-spawned from the master seed by counter, so a run is reproducible for any
-thread count, and reductions always happen in replication order.
+argument parsing and output files live in the CLI. read_input opens and
+reads each input file once, the CLI's config included, and the table
+readers take their data records from one loop, _data_records. Replication
+seeds are spawned from the master seed by counter, so a run is reproducible
+for any thread count, and reductions always happen in replication order.
 """
 
 import csv
 import io
 import math
+import re
 
 import numpy as np
 
 from .distributed import (ShardPlan, _central_shard, aae, local_init,
                           partition, run_distributed)
-from .errors import AqrError, DomainError, ParseError, ShapeMismatch
+from .errors import AqrError, DomainError, ParseError, ShapeMismatch, _count
 from .estimator import _check_ends, _telescope, aqr_conditional, rpad
 from .families import (KINDS, WeightFamily, _tau, es, exp_spectral,
                        extremile, ge, ges, qr_dirac, tabulated, tcrm,
@@ -32,15 +35,23 @@ from .single_index import (_newton_step, fit_full, normalize_beta,
 
 def _pmap(fn, tasks, threads):
     """Map preserving task order; a process pool when threads > 1."""
-    if threads is None or int(threads) <= 1 or len(tasks) <= 1:
+    if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     # imported here: the pool pulls in multiprocessing, which no
     # single-process run needs
     from concurrent.futures import ProcessPoolExecutor
-    workers = min(int(threads), len(tasks))
+    workers = min(threads, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (4 * workers))
         return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def _counts(**values):
+    """The studies' count arguments as ints, each checked against its least
+    value."""
+    least = {"master_seed": 0, "reps": 1, "n": 2, "K": 1, "threads": 1}
+    return [_count(value, least[key], f"{key} must be a whole number of at "
+                   f"least {least[key]}, got") for key, value in values.items()]
 
 
 def _summary(vals, suffix=""):
@@ -254,13 +265,15 @@ def run_sim1(master_seed=1, reps=100, n=SIM1_N, taus=SIM1_TAUS, threads=1):
     point for that tail; cells report mean and sd of RPAD against the
     location-shifted population value.
     """
+    master_seed, reps, n, threads = _counts(
+        master_seed=master_seed, reps=reps, n=n, threads=threads)
     taus = tuple(float(t) for t in taus)
-    tasks = [(master_seed, ei, rep, int(n), taus)
-             for ei in range(len(SIM1_ERRORS)) for rep in range(int(reps))]
+    tasks = [(master_seed, ei, rep, n, taus)
+             for ei in range(len(SIM1_ERRORS)) for rep in range(reps)]
     results = _pmap(_sim1_rep, tasks, threads)
     cells = []
     for ei, (err_label, err_dist) in enumerate(SIM1_ERRORS):
-        per_rep = results[ei * int(reps):(ei + 1) * int(reps)]
+        per_rep = results[ei * reps:(ei + 1) * reps]
         for fam_label, fam in study_families():
             for tau in taus:
                 x0 = _sim1_probe(tau)
@@ -270,8 +283,7 @@ def run_sim1(master_seed=1, reps=100, n=SIM1_N, taus=SIM1_TAUS, threads=1):
                 cells.append({"error": err_label, "family": fam_label,
                               "tau": tau, "x0": x0, "truth": truth,
                               **_summary(vals, "_rpad")})
-    return {"n": int(n), "reps": int(reps), "seed": int(master_seed),
-            "cells": cells}
+    return {"n": n, "reps": reps, "seed": master_seed, "cells": cells}
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +381,10 @@ def run_sim2(master_seed=1, reps=30, n=SIM2_N, K=SIM2_K, taus=SIM2_TAUS,
     distributed fit's round count. With K=1 the report adds the gap between
     the distributed fit and the same Newton path replayed on pooled data.
     """
+    master_seed, reps, n, K, threads = _counts(
+        master_seed=master_seed, reps=reps, n=n, K=K, threads=threads)
     taus = tuple(float(t) for t in taus)
-    tasks = [(int(master_seed), rep, int(n), int(K), taus)
-             for rep in range(int(reps))]
+    tasks = [(master_seed, rep, n, K, taus) for rep in range(reps)]
     results = _pmap(_sim2_rep, tasks, threads)
 
     rpad_rows = []
@@ -386,15 +399,14 @@ def run_sim2(master_seed=1, reps=30, n=SIM2_N, K=SIM2_K, taus=SIM2_TAUS,
                                   "method": method, "truth": truth,
                                   **_summary(vals, "_rpad")})
     report = {
-        "n": int(n), "K": int(K), "reps": int(reps),
-        "seed": int(master_seed),
+        "n": n, "K": K, "reps": reps, "seed": master_seed,
         "aae": {method: _summary([r[f"aae_{method}"] for r in results])
                 for method in ("all", "de", "pilot")},
         "rounds": [r["rounds"] for r in results],
         "rpad": rpad_rows,
     }
-    if int(K) == 1:
-        report["k1_newton_path_gap"] = k1_newton_gap(master_seed, n=int(n))
+    if K == 1:
+        report["k1_newton_path_gap"] = k1_newton_gap(master_seed, n=n)
     return report
 
 
@@ -437,7 +449,7 @@ def run_portfolio(fit_returns, test_returns, bench, family, tau, **options):
 
 
 # ---------------------------------------------------------------------------
-# air-quality pipeline
+# input files (all read here, tables parsed here) and the air-quality pipeline
 
 AIRQ_TAUS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5,
              0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
@@ -466,7 +478,7 @@ def _airq_float(text, row, col):
     return value
 
 
-def _read_input(path):
+def read_input(path):
     """The bytes of the input file at `path` and the encoding of its text,
     less one leading byte-order mark, which spreadsheets write at the start
     of a UTF-8 CSV file. This is the one place the package opens a file to
@@ -496,6 +508,103 @@ def _csv_records(raw, encoding):
             row=exc.object.count(b"\n", 0, exc.start) + 1) from None
 
 
+def _data_records(records, width, start):
+    """(row, record) for each non-blank record, rows counted from `start`;
+    a record without `width` fields raises ParseError."""
+    for row, rec in enumerate(records, start=start):
+        if not rec:
+            continue
+        if len(rec) != width:
+            raise ParseError(f"expected {width} field{'s' * (width != 1)}, "
+                             f"got {len(rec)}", row=row)
+        yield row, rec
+
+
+_LOADTXT_SPACE = b"\x1c\x1d\x1e\x1f"
+_DATA_BYTE = re.compile(rb"[^\r\n]")
+
+
+def read_numeric_csv(path, column=False):
+    """A numeric CSV file as (header, float array of rows by columns).
+
+    A matrix file (column=False) starts with a header row, and every data
+    row has as many fields. A column file has one value per line; its first
+    line is its header when it is not a number, and the header is [] when
+    there is none. One byte-order mark (U+FEFF) at the start of the file is
+    dropped. Blank lines are skipped, a cell is a number when float() takes
+    it (quoted cells too), and "#" starts no comment.
+
+    The file is read once. np.loadtxt parses its bytes when it can. When
+    it cannot, the per-cell loop reads the same bytes and returns the same
+    array, or raises the ParseError that names the bad row and column.
+    """
+    raw, encoding = read_input(path)
+    stream = io.BytesIO(raw)
+    head = stream.readline()
+    # loadtxt parses the bytes after the first line and decodes each line
+    # with the file's encoding. It is skipped, or raises, wherever its
+    # reading could differ from the loop's:
+    # - it warns on an input without data lines;
+    # - it strips "\x1c" to "\x1f" around a number, and float() does not;
+    # - byte lines end only at b"\n", so a lone "\r" makes csv or loadtxt
+    #   raise;
+    # - a quote in a data line fails its number parse, and strict csv raises
+    #   on a first record that runs past its line.
+    table = None
+    if (_DATA_BYTE.search(raw, len(head))
+            and not any(raw.find(c, len(head)) >= 0 for c in _LOADTXT_SPACE)):
+        try:
+            first = next(csv.reader([head.decode(encoding)], strict=True))
+            width = 1 if column else len(first)
+            table = np.loadtxt(stream, delimiter=",", comments=None,
+                               ndmin=2, dtype=float, encoding=encoding)
+        except (csv.Error, ValueError):
+            pass
+    if table is not None and len(first) == width == table.shape[1]:
+        if not column:
+            return [c.strip() for c in first], table
+        try:
+            return [], np.concatenate(([[float(first[0])]], table))
+        except ValueError:
+            return first, table
+
+    reader = _csv_records(raw, encoding)
+    if column:
+        header, width, start = [], 1, 1
+    else:
+        try:
+            header = [c.strip() for c in next(reader)]
+        except StopIteration:
+            raise ParseError("empty CSV", row=1) from None
+        width, start = len(header), 2
+    rows = []
+    for i, rec in _data_records(reader, width, start):
+        vals = []
+        for j, cell in enumerate(rec, start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                if not (column and i == 1):
+                    raise ParseError(f"non-numeric value {cell.strip()!r}",
+                                     row=i, col=j) from None
+                header = rec
+                break
+        else:
+            rows.append(vals)
+    if not rows:
+        raise ParseError("no data rows", row=start)
+    return header, np.array(rows)
+
+
+def read_xy_csv(path):
+    """(header, Dataset) of a CSV file of a response and its covariates."""
+    header, table = read_numeric_csv(path)
+    if table.shape[1] < 2:
+        raise ParseError("need a response column plus at least one covariate",
+                         row=1)
+    return header, Dataset(table[:, 0], table[:, 1:])
+
+
 def load_airquality(path, winter=True):
     """Read site-day rows from a raw hourly export or a daily file.
 
@@ -509,7 +618,7 @@ def load_airquality(path, winter=True):
     name.
     """
     fields = (AIRQ_RESPONSE,) + AIRQ_COVARIATES
-    records = _csv_records(*_read_input(path))
+    records = _csv_records(*read_input(path))
     header = next(records, [])
     repeated = [c for i, c in enumerate(header) if c in header[:i]]
     if repeated:
@@ -525,12 +634,7 @@ def load_airquality(path, winter=True):
                          row=1, col=missing[0])
     dates = () if missing else AIRQ_DATE
     groups = {}
-    for i, cells in enumerate(records, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got "
-                             f"{len(cells)}", row=i)
+    for i, cells in _data_records(records, len(header), 2):
         rec = dict(zip(header, cells))
         vals = [_airq_float(rec[col], i, col) for col in fields + dates]
         if None in vals:

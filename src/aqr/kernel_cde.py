@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, EmptyGrid, KernelUnderflow, ShapeMismatch)
+from .errors import (DomainError, EmptyGrid, KernelUnderflow, ShapeMismatch,
+                     _count)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # kernel cells (rows x n) per row block in cv_bandwidth: 512 KiB per float
@@ -143,6 +144,8 @@ class StepCDF:
 
     def evaluate(self, y):
         y = np.asarray(y, dtype=float)
+        if np.isnan(y).any():
+            raise DomainError("a step CDF has no value at nan")
         idx = np.searchsorted(self.knots, y, side="right")
         padded = np.concatenate(([0.0], self.levels))
         out = padded[idx]
@@ -250,11 +253,35 @@ def _conditioner(data, beta=None):
     return data.X @ beta, beta
 
 
+def _x0(x0, p=None):
+    """The probe x0 as a float, or as a vector of length p; a probe that is
+    not finite raises DomainError rather than vanishing kernel weights."""
+    if p is None:
+        x0 = float(x0)
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (p,):
+            raise ShapeMismatch(f"x0 must have length {p}, got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise DomainError(f"x0 must be finite, got {x0!r}")
+    return x0
+
+
+def _y0(y0):
+    """The level probe y0 as a float: -inf and inf are fine, where F-hat is
+    0 and 1, and nan raises DomainError."""
+    y0 = float(y0)
+    if math.isnan(y0):
+        raise DomainError("y0 must be a number, got nan")
+    return y0
+
+
 def cde_eval(data, h, x0, y0):
     """F-hat(y0 | x0): indicator-weighted kernel ratio, in [0, 1]."""
     h = _bandwidth(h)
     z, _ = _conditioner(data)
-    w = _kernel_weights(z, float(x0), h)[1]
+    y0 = _y0(y0)
+    w = _kernel_weights(z, _x0(x0), h)[1]
     return math.fsum(w[data.y <= y0]) / math.fsum(w)
 
 
@@ -271,7 +298,7 @@ def cde_curve(data, h, x0):
     """
     h = _bandwidth(h)
     z, _ = _conditioner(data)
-    w = _kernel_weights(z, float(x0), h)[1]
+    w = _kernel_weights(z, _x0(x0), h)[1]
     ys = _YSorted(data.y, z)
     # w = mantissa * 2^(exponent - 1075) for a normal double, and
     # fraction * 2^-1074 for a subnormal one (biased exponent 0)
@@ -289,9 +316,7 @@ def index_cde_eval(data, beta, h, x0, y0):
     """F-hat(y0 | x0.beta) on the projected data."""
     h = _bandwidth(h)
     z, beta = _conditioner(data, beta)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (data.p,):
-        raise ShapeMismatch(f"x0 must have length {data.p}, got {x0.shape}")
+    x0 = _x0(x0, data.p)
     proj = Dataset(data.y, z[:, None])
     return cde_eval(proj, h, float(x0 @ beta), y0)
 
@@ -300,9 +325,8 @@ def index_cde_grad(data, beta, h, x0, y0):
     """Gradient in beta of index_cde_eval: S3/S2 - S1*S4/S2^2."""
     h = _bandwidth(h)
     z, beta = _conditioner(data, beta)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (data.p,):
-        raise ShapeMismatch(f"x0 must have length {data.p}, got {x0.shape}")
+    x0 = _x0(x0, data.p)
+    y0 = _y0(y0)
     t, w = _kernel_weights(z, float(x0 @ beta), h)
     dw = _dphi(t) / (h * h)
     Xc = data.X - x0
@@ -329,10 +353,9 @@ def rule_bandwidth(values, rate_exponent=0.2):
 
 def default_bandwidth_grid(values, size=12):
     """Log-spaced grid spanning [c/2, 2c] around the rule-of-thumb c; its
-    size is an int (not a bool) of at least 1."""
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise DomainError(f"a bandwidth grid needs at least one entry, "
-                          f"counted by an int; got size {size!r}")
+    size is a count of at least 1."""
+    size = _count(size, 1, "a bandwidth grid needs at least one entry, "
+                  "counted by an int; got size")
     c = rule_bandwidth(values)
     return [_bandwidth(h) for h in np.geomspace(0.5 * c, 2.0 * c, size)]
 

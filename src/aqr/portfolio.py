@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeries, DomainError, ShapeMismatch
+from .errors import DegenerateSeries, DomainError, ShapeMismatch, _count
 from .families import omega
 from .sample_risk import order_weights, risk_sample
 
@@ -98,9 +98,15 @@ def project_simplex(v):
     """Euclidean projection onto the probability simplex (sort-threshold).
 
     A vector is projected as one point; a d x S matrix is projected column
-    by column, each column exactly as it would be on its own.
+    by column, each column exactly as it would be on its own. Every entry
+    must be finite, and d at least 1.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.shape[0] == 0:
+        raise ShapeMismatch(f"need a point of one or more coordinates, got "
+                            f"shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError("a point to project must be finite")
     u = np.sort(v, axis=0)[::-1]
     cumulative = np.cumsum(u, axis=0) - 1.0
     ranks = np.arange(1, u.shape[0] + 1).reshape((-1,) + (1,) * (v.ndim - 1))
@@ -141,6 +147,12 @@ def optimize_weights(returns, family, tau, starts=DEFAULT_STARTS,
     reproduce the same weights. `diagnostics` records each start's initial
     objective and the iteration at which it found its best iterate.
     """
+    starts = _count(starts, 1, "starts must be a whole number of at least 1, "
+                    "got")
+    iterations = _count(iterations, 1, "iterations must be a whole number of "
+                        "at least 1, got")
+    seed = _count(seed, 0, "the seed must be a whole number of at least 0, "
+                  "got")
     d = returns.d
     sign = omega(tau)
     if returns.days <= d:

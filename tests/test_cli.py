@@ -18,11 +18,10 @@ from jsonschema.validators import validator_for
 
 import aqr
 from aqr.cli import (COMMANDS, DEFAULTS, SCHEMAS, _checked, _object,
-                     _read_numeric_csv, _SchemaError, build_parser,
-                     config_schema, main)
+                     _SchemaError, build_parser, config_schema, main)
 from aqr.errors import ParseError
 from aqr.families import KINDS, SCHEDULES
-from aqr.experiments import fit_pooled, load_airquality
+from aqr.experiments import fit_pooled, load_airquality, read_numeric_csv
 from aqr.kernel_cde import Dataset
 from aqr.single_index import fit_full, normalize_beta
 
@@ -587,7 +586,7 @@ def test_fit_bandwidth_that_isolates_every_row_exits_1(tmp_path, capsys):
     # at the rule bandwidth every row has a neighbour's weight, and the fit
     # is the pooled fit
     assert main(["fit", data, "--out", str(tmp_path)]) == 0
-    table = _read_numeric_csv(data)[1]
+    table = read_numeric_csv(data)[1]
     want = fit_pooled(Dataset(table[:, 0], table[:, 1:]))
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["beta"] == want.beta.tolist() and fit["h"] == want.h
@@ -602,7 +601,7 @@ def test_fit_parse_error_reports_location(tmp_path, capsys):
 
 
 # The per-row readers cli.py used before np.loadtxt, kept verbatim as the
-# reference: _read_numeric_csv must return the same arrays and raise the
+# reference: read_numeric_csv must return the same arrays and raise the
 # same ParseError text, row and column.
 
 def _loop_read_matrix_csv(path):
@@ -663,7 +662,7 @@ def _read_or_error(read):
 
 def assert_reads_like_the_loop(path, column):
     """Same header and bit-identical array, or the same ParseError."""
-    new, new_error = _read_or_error(lambda: _read_numeric_csv(path, column))
+    new, new_error = _read_or_error(lambda: read_numeric_csv(path, column))
     if column:
         old, old_error = _read_or_error(
             lambda: ([], _loop_read_column_csv(path)))
@@ -778,8 +777,8 @@ def test_reader_drops_a_leading_byte_order_mark(tmp_path, text, column):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(text.encode())
     marked.write_bytes(BOM + text.encode())
-    header, table = _read_numeric_csv(marked, column)
-    expect_header, expect = _read_numeric_csv(plain, column)
+    header, table = read_numeric_csv(marked, column)
+    expect_header, expect = read_numeric_csv(plain, column)
     assert header == expect_header
     assert np.array_equal(table, expect)
 
@@ -1026,16 +1025,22 @@ AIR_ROW = b"north,2016,12,1,6,40.0,-1.5,1020.0,-9.0,2.1\n"
     ("airquality", "air.csv", AIR_HEADER + AIR_ROW + AIR_ROW
      + AIR_ROW.replace(b"-1.5", b"-Infinity"),
      "parse error: non-finite value '-Infinity' in column TEMP", 4),
+    # one width error for both table readers, its noun by the count
+    ("portfolio", "fit.csv", b"A\n0.01\n0.02,0.03\n",
+     "parse error: expected 1 field, got 2", 3),
 ], ids=["csv-bytes", "csv-field-limit", "config-bytes", "airquality-year",
         "airquality-bytes", "airquality-short-row", "airquality-no-year",
         "airquality-repeated-column", "airquality-inf",
-        "airquality-minus-infinity"])
+        "airquality-minus-infinity", "portfolio-one-column-matrix"])
 def test_malformed_input_file_exits_2_with_one_line(tmp_path, capsys,
                                                     command, name, data,
                                                     message, row):
     path = tmp_path / name
     path.write_bytes(data)
     args = [command, str(path)]
+    if command == "portfolio":
+        # the fit window is read first, so the other two are never opened
+        args += [str(tmp_path / "unread.csv")] * 2
     if name == "cfg.json":
         # the config is read first, so the data file is never opened
         args = [command, str(tmp_path / "unread.csv"), "--config", str(path)]

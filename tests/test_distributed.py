@@ -46,11 +46,13 @@ def test_shard_plan_validation():
         ShardPlan(())
     with pytest.raises(DomainError):
         ShardPlan((1, 5))
-    # a size is a whole number: 2.7 is not read as 2, nor True as 1
-    for sizes in [(2.7, 3), (3, 2.5), (True, 3), (3, np.float64("nan"))]:
+    # a size is a count, an int or a numpy integer: 2.7 is not read as 2,
+    # True as 1, nor 50.0 as 50
+    for sizes in [(2.7, 3), (3, 2.5), (True, 3), (3, np.float64("nan")),
+                  (50.0, np.int64(3))]:
         with pytest.raises(DomainError, match="whole numbers"):
             ShardPlan(sizes)
-    assert ShardPlan((50.0, np.int64(3))).sizes == (50, 3)
+    assert ShardPlan((50, np.int64(3))).sizes == (50, 3)
     plan = even_plan(500, 10)
     assert plan.n == 500 and plan.K == 10
 

@@ -17,10 +17,13 @@ from aqr.kernel_cde import (_CV_BLOCK_CELLS, Dataset, StepCDF,
                             _YSorted, _cv_scores, cde_curve, cde_eval,
                             cv_bandwidth, default_bandwidth_grid,
                             index_cde_eval, index_cde_grad, rule_bandwidth)
-from aqr.distributed import (CommReport, default_rounds, local_init,
-                             newton_round, run_distributed)
-from aqr.experiments import average_aqr_values, fit_pooled, fit_sharded
+from aqr.distributed import (CommReport, ShardPlan, default_rounds,
+                             local_init, newton_round, partition,
+                             run_distributed)
+from aqr.experiments import (average_aqr_values, fit_pooled, fit_sharded,
+                             run_sim1, run_sim2)
 from aqr.families import es
+from aqr.portfolio import ReturnsMatrix, optimize_weights
 from aqr.single_index import (IndexModel, fit_full, normalize_beta,
                               psis_gradient, psis_hessian, psis_objective)
 
@@ -106,6 +109,55 @@ def test_bandwidth_validation():
                 pytest.fail(f"{name} accepted the bandwidth {bad!r}")
 
 
+# every public call that takes a count, as (call, least value, a good value);
+# each call runs on small valid data
+_RETURNS = ReturnsMatrix(np.random.default_rng(5).normal(0.0, 0.01, (30, 2)))
+_TAKES_A_COUNT = {
+    "ShardPlan size": (lambda c: ShardPlan((c, 2)), 2, 2),
+    "ShardPlan.even n": (lambda c: ShardPlan.even(c, 1), 2, 2),
+    "ShardPlan.even K": (lambda c: ShardPlan.even(40, c), 1, 2),
+    "partition seed": (lambda c: partition(_DATA2, ShardPlan((20, 20)), c),
+                       0, 0),
+    "default_rounds n": (lambda c: default_rounds(c, 20, 0.5), 20, 40),
+    "default_rounds n1": (lambda c: default_rounds(40, c, 0.5), 2, 20),
+    "run_distributed rounds": (lambda c: run_distributed(
+        _SHARDED, c, 0.5, 0.5, _BETA), 1, 1),
+    "fit_sharded rounds": (lambda c: fit_sharded(_SHARDED, rounds=c), 1, 1),
+    "default_bandwidth_grid size": (lambda c: default_bandwidth_grid(
+        _X2[:, 0], size=c), 1, 3),
+    "optimize_weights starts": (lambda c: optimize_weights(
+        _RETURNS, es(), 0.1, starts=c, iterations=2), 1, 1),
+    "optimize_weights iterations": (lambda c: optimize_weights(
+        _RETURNS, es(), 0.1, starts=1, iterations=c), 1, 1),
+    "optimize_weights seed": (lambda c: optimize_weights(
+        _RETURNS, es(), 0.1, starts=1, iterations=2, seed=c), 0, 0),
+    **{f"run_sim1 {key}": (
+        lambda c, key=key: run_sim1(**{"reps": 1, "n": 20, "taus": (0.1,),
+                                       key: c}), least, good)
+       for key, least, good in [("master_seed", 0, 0), ("reps", 1, 1),
+                                ("n", 2, 20), ("threads", 1, 1)]},
+    **{f"run_sim2 {key}": (
+        lambda c, key=key: run_sim2(**{"reps": 1, "n": 40, "K": 2,
+                                       "taus": (0.1,), key: c}), least, good)
+       for key, least, good in [("master_seed", 0, 0), ("reps", 1, 1),
+                                ("n", 2, 40), ("K", 1, 2), ("threads", 1, 1)]},
+}
+
+
+def test_count_validation():
+    # a count is an int or a numpy integer, not a bool, of at least its
+    # least value; anything else is a DomainError naming it, at every entry
+    # point, rather than a count rounded down, a repeat or a bare TypeError
+    for name, (call, least, good) in _TAKES_A_COUNT.items():
+        call(np.int64(good))
+        for bad in (least - 1, least + 0.5, float(good), np.float64(good),
+                    True, str(good)):
+            with pytest.raises(DomainError) as caught:
+                call(bad)
+                pytest.fail(f"{name} accepted the count {bad!r}")
+            assert str(caught.value).endswith(repr(bad)), name
+
+
 def test_bandwidths_come_back_as_floats():
     x = _X2[:, 0]
     assert type(rule_bandwidth(x)) is float
@@ -147,6 +199,36 @@ def test_step_cdf_validation_and_evaluate():
     assert list(f.evaluate(np.array([1.5, 2.0, 9.0]))) == [0.7, 1.0, 1.0]
     g = StepCDF(np.array([3.0]), np.array([0.9]))
     assert g.mass_deficit == pytest.approx(0.1)
+
+
+def test_probes_must_be_numbers():
+    # y0 = -inf and inf are fine, where F-hat is 0 and 1
+    f = StepCDF(np.array([0.0, 1.0]), np.array([0.2, 1.0]))
+    assert f.evaluate(-math.inf) == 0.0 and f.evaluate(math.inf) == 1.0
+    assert cde_eval(_DATA1, 0.5, 0.0, -math.inf) == 0.0
+    assert cde_eval(_DATA1, 0.5, 0.0, math.inf) == 1.0
+    assert index_cde_eval(_DATA2, _BETA, 0.5, _BETA, math.inf) == 1.0
+    # a nan y0 is no level: it would read as 0
+    for call in (lambda: cde_eval(_DATA1, 0.5, 0.0, math.nan),
+                 lambda: index_cde_eval(_DATA2, _BETA, 0.5, _BETA, math.nan),
+                 lambda: index_cde_grad(_DATA2, _BETA, 0.5, _BETA, math.nan)):
+        with pytest.raises(DomainError, match="y0"):
+            call()
+    # searchsorted puts nan past the last knot, which would read as 1
+    for y in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError, match="nan"):
+            f.evaluate(y)
+    # a probe x0 that is not finite is no point: it would read as vanished
+    # kernel weights, which blame the bandwidth
+    for bad in (math.nan, math.inf, -math.inf):
+        for call in (lambda: cde_eval(_DATA1, 0.5, bad, 0.0),
+                     lambda: cde_curve(_DATA1, 0.5, bad),
+                     lambda: index_cde_eval(_DATA2, _BETA, 0.5,
+                                            np.array([bad, 0.0]), 0.0),
+                     lambda: index_cde_grad(_DATA2, _BETA, 0.5,
+                                            np.array([0.0, bad]), 0.0)):
+            with pytest.raises(DomainError, match="x0"):
+                call()
 
 
 def test_constant_x_gives_empirical_cdf():

@@ -12,9 +12,10 @@ the index-fit recipe (start direction, rule bandwidths, pilot, Newton
 rounds) comes only from experiments.fit_pooled and fit_sharded, so the CLI
 fits cannot drift from the studies: cli.py may not call its pieces. The
 telescoped reduction of a step CDF under a weight family belongs to
-estimator._telescope, so experiments.py may not apply G itself. cli.py
-parses numbers in one place, its CSV reader, so no command can read a file
-by other rules. The Dataset's shard labels are the one record of the
+estimator._telescope, so experiments.py may not apply G itself. Tables are
+parsed only by experiments' public readers, so no command can read a table
+by other rules: cli.py calls no float, loadtxt or csv.reader, and uses no
+private name of experiments. The Dataset's shard labels are the one record of the
 sharding, so in distributed.py and experiments.py no function but partition
 may take a `plan` argument: a plan beside the labels would be a second
 record that has to agree with them. cli.py states each command once, in
@@ -26,7 +27,7 @@ and return their output files by name, and one writer, _write_outputs,
 puts them and the run record on disk, so the record's list of outputs is
 the set of files written: in cli.py only _write_outputs calls _write_json
 or _write_csv, and only those two open a file with a mode. Every input
-file is opened and read once, by experiments._read_input, so a pipe reads
+file is opened and read once, by experiments.read_input, so a pipe reads
 like a file and one byte-order-mark rule covers every input: across
 src/aqr, open is called only there and in _write_json and _write_csv.
 scipy is imported only inside the functions that call it, so that
@@ -123,14 +124,30 @@ def test_experiments_takes_its_reduction_from_estimator():
     assert calls == []
 
 
-def test_cli_parses_numbers_only_in_its_csv_reader():
+def test_cli_parses_no_table():
     path = Path(aqr.__file__).parent / "cli.py"
-    reader = next(node for node in ast.parse(path.read_text()).body
-                  if getattr(node, "name", None) == "_read_numeric_csv")
     calls = [f"cli.py:{line} {name}" for name, line in _called_names(path)
-             if name in ("loadtxt", "float")
-             and not reader.lineno <= line <= reader.end_lineno]
+             if name in ("float", "loadtxt", "reader")]
     assert calls == []
+
+
+def test_cli_uses_no_private_name_of_experiments():
+    path = Path(aqr.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    names = {alias.asname or alias.name for node in imports
+             if node.module is None for alias in node.names
+             if alias.name == "experiments"}
+    assert names
+    private = [f"cli.py:{node.lineno} {alias.name}" for node in imports
+               if node.module == "experiments" for alias in node.names
+               if alias.name.startswith("_")]
+    private += [f"cli.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in names and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_cli_states_each_command_once_in_its_table():
@@ -178,7 +195,7 @@ def test_only_read_input_opens_a_file_to_read():
         openers += [f"{path.name}:{_enclosing(functions, line)}"
                     for name, line in _called_names(path) if name == "open"]
     assert sorted(openers) == ["cli.py:_write_csv", "cli.py:_write_json",
-                               "experiments.py:_read_input"]
+                               "experiments.py:read_input"]
 
 
 @pytest.mark.parametrize("module", ["distributed.py", "experiments.py"])

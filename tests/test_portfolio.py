@@ -88,6 +88,17 @@ def test_project_simplex():
     assert np.allclose(keep, [0.2, 0.5, 0.3], atol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_project_simplex_needs_a_finite_point():
+    for v in (np.array([]), np.empty((0, 3)), np.float64(1.0)):
+        with pytest.raises(ShapeMismatch):
+            project_simplex(v)
+    # nan and inf would give nan weights, with RuntimeWarnings
+    for v in ([np.nan, 1.0], [np.inf, 1.0], [[1.0, -np.inf], [0.0, 0.0]]):
+        with pytest.raises(DomainError, match="finite"):
+            project_simplex(np.array(v))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda d: arrays(
     float, st.tuples(st.just(d), st.integers(1, 6)),
